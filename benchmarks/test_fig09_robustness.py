@@ -6,7 +6,6 @@ latent representations.  The gap widens with contamination, so the study
 runs on a SYN variant with a heavier outlier ratio than S5.
 """
 
-import numpy as np
 import pytest
 
 from repro.datasets import load_dataset

@@ -4,7 +4,6 @@ Paper shape: accuracy is insensitive to the layer count (slightly better
 with more layers) — random choices of this hyperparameter stay safe.
 """
 
-import numpy as np
 import pytest
 
 from repro.eval import render_sweep

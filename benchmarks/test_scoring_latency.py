@@ -9,35 +9,25 @@ S same-spec sessions refreshed through one stacked program replay
 ``bench-results/scoring_latency.json``.
 """
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
+from _records import TINY, record_result
 
 from repro.eval import make_detector
 
-TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
-
-RESULTS_DIR = os.environ.get("REPRO_BENCH_DIR", "bench-results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "scoring_latency.json")
+RESULTS_FILE = "scoring_latency.json"
 
 
-def _record_result(key, payload, skipped_reason=None):
-    """Merge one benchmark's raw numbers into the trajectory JSON."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as handle:
-            data = json.load(handle)
-    payload = dict(payload, tiny=TINY, cpu_count=os.cpu_count())
-    if skipped_reason is not None:
-        payload.pop("speedup", None)
-        payload["skipped_reason"] = skipped_reason
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+def assert_streaming_latency(benchmark):
+    """The paper's streaming-applicability bound: under 0.1 s per call.
+
+    ``--benchmark-disable`` runs the call once and keeps no stats, so the
+    bound is only checked when the benchmark actually timed something.
+    """
+    if benchmark.stats is not None:
+        assert benchmark.stats.stats.mean < 0.1
 
 
 def make_series(seed, length=280):
@@ -53,8 +43,7 @@ def test_rae_streaming_latency(benchmark):
     unseen = make_series(1)
     scores = benchmark(det.score_new, unseen)
     assert scores.shape == (len(unseen),)
-    # The paper's streaming-applicability bound.
-    assert benchmark.stats.stats.mean < 0.1
+    assert_streaming_latency(benchmark)
 
 
 @pytest.mark.benchmark(group="latency")
@@ -65,7 +54,7 @@ def test_rdae_streaming_latency(benchmark):
     unseen = make_series(3)
     scores = benchmark(det.score_new, unseen)
     assert scores.shape == (len(unseen),)
-    assert benchmark.stats.stats.mean < 0.1
+    assert_streaming_latency(benchmark)
 
 
 @pytest.mark.slow
@@ -130,7 +119,7 @@ def test_batched_inference_beats_eager_session_refresh():
           % (sessions_count, window, 1e3 * eager, 1e3 * compiled, speedup))
     reason = ("tiny mode: sizes too small for a meaningful ratio"
               if TINY else None)
-    _record_result("batched_inference", {
+    record_result(RESULTS_FILE, "batched_inference", {
         "sessions": sessions_count, "window": window, "rounds": rounds,
         "eager_ms": 1e3 * eager, "compiled_ms": 1e3 * compiled,
         "speedup": speedup,

@@ -6,27 +6,21 @@ grouped forward pass per drain, while the naive deployment (a dedicated
 :class:`StreamScorer` per stream, pushed sequentially) pays one forward per
 stream per arrival.  With 8 RAE shards the batched drain must be at least
 2x faster per round of arrivals — and numerically identical to the
-sequential path.  A second bench covers the orthogonal axis: shards with
-*independent* detectors cannot share a grouped forward, so the threaded
-drain backend scores their shard groups concurrently and must beat the
-serial backend by >= 1.5x on a multi-core host (bit-identically), and the
-process backend — true CPU parallelism, no GIL — by >= 1.8x with two
-workers.
+sequential path.  A second bench covers shards that each hold their own
+fitted detector of one spec: the compiled drain stacks them into one
+replayed forward and must beat the eager drain by >= 2x, bit-identically.
 
 ``REPRO_BENCH_TINY=1`` shrinks sizes for CI smoke runs and skips the
 wall-clock ratio assertions (never the equality assertions).  Raw numbers
-land in ``bench-results/serve_throughput.json``; a host where a ratio is
-not meaningful (single core, tiny mode) records ``skipped_reason`` and no
-``speedup`` — a sub-1x "speedup" measured where nothing could overlap must
-not enter the BENCH trajectory looking like a regression.
+land in ``bench-results/serve_throughput.json``; tiny-mode records carry
+``skipped_reason`` and no ``speedup``.
 """
 
-import json
-import os
 import time
 
 import numpy as np
 import pytest
+from _records import TINY, record_result
 
 from repro.core import RAE
 from repro.serve import StreamRouter
@@ -36,29 +30,11 @@ from repro.stream import StreamScorer
 # fast *and deterministic*); run with `pytest -m slow`.
 pytestmark = pytest.mark.slow
 
-TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
 SHARDS = 8
 WINDOW = 48 if TINY else 128
 ROUNDS = 10 if TINY else 40
 
-RESULTS_DIR = os.environ.get("REPRO_BENCH_DIR", "bench-results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "serve_throughput.json")
-
-
-def _record_result(key, payload, skipped_reason=None):
-    """Merge one benchmark's raw numbers into the trajectory JSON."""
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as handle:
-            data = json.load(handle)
-    payload = dict(payload, tiny=TINY, cpu_count=os.cpu_count())
-    if skipped_reason is not None:
-        payload.pop("speedup", None)
-        payload["skipped_reason"] = skipped_reason
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+RESULTS_FILE = "serve_throughput.json"
 
 
 def make_series(seed, length):
@@ -113,7 +89,7 @@ def test_batched_drain_beats_sequential_push():
     print("\nper-round latency over %d shards (window=%d): sequential "
           "%.2f ms, batched drain %.2f ms (%.1fx)"
           % (SHARDS, WINDOW, 1e3 * sequential, 1e3 * routed, speedup))
-    _record_result("batched_drain", {
+    record_result(RESULTS_FILE, "batched_drain", {
         "shards": SHARDS, "window": WINDOW, "rounds": ROUNDS,
         "sequential_ms": 1e3 * sequential, "routed_ms": 1e3 * routed,
         "speedup": speedup,
@@ -123,25 +99,6 @@ def test_batched_drain_beats_sequential_push():
         assert speedup >= 2.0, (
             "batched drain only %.1fx faster than sequential push" % speedup
         )
-
-
-def _independent_shard_fixture():
-    """8 shards, each with its own *different-spec* detector, plus arrivals.
-
-    Different architectures are the worst case for grouped forwards
-    (nothing batches or stacks across shards — distinct same-spec
-    detectors would now share one fingerprint group and a stacked compiled
-    forward, see ``compiled_drain``) and the best case for the threaded
-    backend (every shard group is parallel work).
-    """
-    detectors = [
-        RAE(max_iterations=2 if TINY else 4, kernels=12 + i, num_layers=3,
-            seed=i).fit(make_series(i, 400))
-        for i in range(SHARDS)
-    ]
-    histories = [make_series(10 + i, WINDOW) for i in range(SHARDS)]
-    live = [make_series(50 + i, ROUNDS) for i in range(SHARDS)]
-    return detectors, histories, live
 
 
 def _run_router(router, detectors, histories, live):
@@ -160,57 +117,7 @@ def _run_router(router, detectors, histories, live):
         seconds.append(time.perf_counter() - started)
         for shard in range(SHARDS):
             scores[shard, round_] = results[shard][0]
-    router.close()
     return scores, seconds
-
-
-def test_threaded_drain_beats_serial_on_independent_shards():
-    """The threaded backend's claim: >= 1.5x on independent-detector shards.
-
-    Skipped on single-core hosts — the backend parallelises CPU work, and
-    a 1-core box has nothing to overlap (correctness of the threaded path
-    is covered machine-independently in tests/serve/test_router.py).
-    """
-    detectors, histories, live = _independent_shard_fixture()
-
-    serial_scores, serial_seconds = _run_router(
-        StreamRouter(window=WINDOW), detectors, histories, live
-    )
-    threaded_scores, threaded_seconds = _run_router(
-        StreamRouter(window=WINDOW, drain_backend="threaded", workers=4),
-        detectors, histories, live,
-    )
-
-    # The backend changes where forwards run, never what they compute.
-    assert np.array_equal(threaded_scores, serial_scores)
-
-    serial = float(np.median(serial_seconds))
-    threaded = float(np.median(threaded_seconds))
-    speedup = serial / max(threaded, 1e-12)
-    cores = os.cpu_count() or 1
-    print("\nper-round drain over %d independent-detector shards "
-          "(window=%d, %d cores): serial %.2f ms, threaded %.2f ms (%.1fx)"
-          % (SHARDS, WINDOW, cores, 1e3 * serial, 1e3 * threaded, speedup))
-    reason = _ratio_skip_reason(cores)
-    _record_result("threaded_drain", {
-        "shards": SHARDS, "window": WINDOW, "workers": 4,
-        "serial_ms": 1e3 * serial, "threaded_ms": 1e3 * threaded,
-        "speedup": speedup,
-    }, skipped_reason=reason)
-    if reason is not None:
-        pytest.skip(reason + " (equality asserted above)")
-    assert speedup >= 1.5, (
-        "threaded drain only %.1fx faster than serial" % speedup
-    )
-
-
-def _ratio_skip_reason(cores):
-    if TINY:
-        return "tiny mode: sizes too small for a meaningful ratio"
-    if cores < 2:
-        return ("single-core host: backend parallelism has nothing to "
-                "overlap, ratio not meaningful")
-    return None
 
 
 def test_compiled_drain_beats_eager_on_same_spec_shards():
@@ -263,7 +170,7 @@ def test_compiled_drain_beats_eager_on_same_spec_shards():
           % (SHARDS, WINDOW, 1e3 * eager, 1e3 * compiled, speedup))
     reason = ("tiny mode: sizes too small for a meaningful ratio"
               if TINY else None)
-    _record_result("compiled_drain", {
+    record_result(RESULTS_FILE, "compiled_drain", {
         "shards": SHARDS, "window": WINDOW, "rounds": ROUNDS,
         "eager_ms": 1e3 * eager, "compiled_ms": 1e3 * compiled,
         "speedup": speedup,
@@ -272,46 +179,4 @@ def test_compiled_drain_beats_eager_on_same_spec_shards():
         pytest.skip(reason + " (equality asserted above)")
     assert speedup >= 2.0, (
         "compiled drain only %.1fx faster than the eager path" % speedup
-    )
-
-
-def test_process_drain_beats_serial_on_independent_shards():
-    """The process backend's claim: >= 1.8x with 2 workers on >= 2 cores.
-
-    The equality half runs everywhere — a single-core host exercises the
-    full protocol (state shipping, mmap'd weight store, result splicing)
-    with two live worker processes; only the wall-clock ratio needs real
-    cores to overlap on.
-    """
-    detectors, histories, live = _independent_shard_fixture()
-
-    serial_scores, serial_seconds = _run_router(
-        StreamRouter(window=WINDOW), detectors, histories, live
-    )
-    process_scores, process_seconds = _run_router(
-        StreamRouter(window=WINDOW, drain_backend="process", workers=2),
-        detectors, histories, live,
-    )
-
-    # The backend changes where forwards run, never what they compute.
-    assert np.array_equal(process_scores, serial_scores)
-
-    serial = float(np.median(serial_seconds))
-    process = float(np.median(process_seconds))
-    speedup = serial / max(process, 1e-12)
-    cores = os.cpu_count() or 1
-    print("\nper-round drain over %d independent-detector shards "
-          "(window=%d, %d cores): serial %.2f ms, process(2) %.2f ms (%.1fx)"
-          % (SHARDS, WINDOW, cores, 1e3 * serial, 1e3 * process, speedup))
-    reason = _ratio_skip_reason(cores)
-    _record_result("process_drain", {
-        "shards": SHARDS, "window": WINDOW, "workers": 2,
-        "serial_ms": 1e3 * serial, "process_ms": 1e3 * process,
-        "speedup": speedup,
-    }, skipped_reason=reason)
-    if reason is not None:
-        pytest.skip(reason + " (equality asserted above)")
-    assert speedup >= 1.8, (
-        "process drain only %.1fx faster than serial with 2 workers"
-        % speedup
     )

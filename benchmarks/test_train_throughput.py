@@ -30,49 +30,24 @@ measured paths end-to-end in seconds; wall-clock/CPU ratio assertions are
 skipped in tiny mode (the bit-identity assertions are not).
 """
 
-import json
 import os
 import time
 
 import numpy as np
 import pytest
+from _records import TINY, record_result
 
 from repro import nn
 from repro.core import RAE, RobustEnsemble
 from repro.core.autoencoders import ConvSeriesAE, train_reconstruction
 from repro.nn import tape as nntape
 
-TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
 LENGTH = 1_200 if TINY else 10_000
 STEP_LENGTH = 800 if TINY else 5_000
 FIT_ITERATIONS = 2 if TINY else 6
 ROUNDS = 1 if TINY else 3
 
-RESULTS_DIR = os.environ.get("REPRO_BENCH_DIR", "bench-results")
-RESULTS_PATH = os.path.join(RESULTS_DIR, "train_throughput.json")
-
-
-def _record_result(key, payload, skipped_reason=None):
-    """Merge one benchmark's raw numbers into the trajectory JSON.
-
-    ``skipped_reason`` marks a record whose ratio claim could not be
-    meaningfully measured on this host (single core, tiny mode): the raw
-    timings are still recorded, but no ``speedup`` field is — a sub-1x
-    "speedup" measured where nothing could overlap is not a regression,
-    and must not enter the BENCH trajectory looking like one.
-    """
-    os.makedirs(RESULTS_DIR, exist_ok=True)
-    data = {}
-    if os.path.exists(RESULTS_PATH):
-        with open(RESULTS_PATH) as handle:
-            data = json.load(handle)
-    payload = dict(payload, tiny=TINY, cpu_count=os.cpu_count())
-    if skipped_reason is not None:
-        payload.pop("speedup", None)
-        payload["skipped_reason"] = skipped_reason
-    data[key] = payload
-    with open(RESULTS_PATH, "w") as handle:
-        json.dump(data, handle, indent=2, sort_keys=True)
+RESULTS_FILE = "train_throughput.json"
 
 
 def make_series(seed, length=LENGTH):
@@ -129,7 +104,7 @@ def test_train_step_tape_replay_beats_eager():
     speedup = eager / max(tape, 1e-12)
     print("\ntrain_reconstruction(epochs=3) at L=%d: eager %.2f ms, "
           "tape %.2f ms (%.2fx)" % (STEP_LENGTH, 1e3 * eager, 1e3 * tape, speedup))
-    _record_result("train_step", {
+    record_result(RESULTS_FILE, "train_step", {
         "length": STEP_LENGTH, "eager_ms": 1e3 * eager, "tape_ms": 1e3 * tape,
         "speedup": speedup,
     })
@@ -179,7 +154,7 @@ def test_rae_fit_tape_speedup_and_bit_identity():
     print("\nRAE(paper-default).fit on %d points (%d iterations): "
           "eager %.3f s, tape %.3f s (%.2fx, bit-identical)"
           % (LENGTH, FIT_ITERATIONS, eager, tape, speedup))
-    _record_result("rae_fit", {
+    record_result(RESULTS_FILE, "rae_fit", {
         "length": LENGTH, "iterations": FIT_ITERATIONS,
         "eager_s": eager, "tape_s": tape, "speedup": speedup,
     })
@@ -226,7 +201,7 @@ def test_ensemble_n_jobs_determinism():
                   "ratio not meaningful")
     else:
         reason = None
-    _record_result("ensemble_n_jobs", {
+    record_result(RESULTS_FILE, "ensemble_n_jobs", {
         "members": serial.n_members, "length": int(series.shape[0]),
         "serial_s": serial_s, "threaded_s": threaded_s, "speedup": speedup,
     }, skipped_reason=reason)
@@ -287,7 +262,7 @@ def test_ensemble_batched_replay_beats_threaded():
                   "1-core replay claim is out of scope")
     else:
         reason = None
-    _record_result("ensemble_batched", {
+    record_result(RESULTS_FILE, "ensemble_batched", {
         "members": 8, "length": int(series.shape[0]),
         "iterations": 3 if TINY else 10,
         "threaded_s": threaded_s, "batched_s": batched_s, "speedup": speedup,
@@ -306,7 +281,7 @@ def test_ensemble_batched_multicore_numbers():
     trajectory wants both numbers wherever they can be measured."""
     cores = os.cpu_count() or 1
     if TINY or cores < 2:
-        _record_result("ensemble_batched_multicore", {}, skipped_reason=(
+        record_result(RESULTS_FILE, "ensemble_batched_multicore", {}, skipped_reason=(
             "needs >=2 cores and full sizes for a meaningful comparison"))
         pytest.skip("needs >=2 cores and full sizes")
     series, threaded, batched, threaded_s, batched_s = _time_batched_pair(
@@ -316,7 +291,7 @@ def test_ensemble_batched_multicore_numbers():
     speedup = threaded_s / max(batched_s, 1e-12)
     print("\nmulti-core: n_jobs=-1 %.3f s vs batched %.3f s (%.2fx on %d "
           "cores)" % (threaded_s, batched_s, speedup, cores))
-    _record_result("ensemble_batched_multicore", {
+    record_result(RESULTS_FILE, "ensemble_batched_multicore", {
         "members": 8, "length": int(series.shape[0]), "cores": cores,
         "threaded_s": threaded_s, "batched_s": batched_s, "speedup": speedup,
     })
@@ -328,14 +303,14 @@ def test_ensemble_n_jobs_scaling():
     (one core serialises the BLAS-bound member fits)."""
     cores = os.cpu_count() or 1
     if TINY or cores < 4:
-        _record_result("ensemble_scaling", {}, skipped_reason=(
+        record_result(RESULTS_FILE, "ensemble_scaling", {}, skipped_reason=(
             "needs >=4 cores and full sizes for a meaningful ratio"))
         pytest.skip("needs >=4 cores and full sizes for a meaningful ratio")
     __, __, __, serial_s, threaded_s = _time_ensemble_pair(3_000, 5, 3)
     speedup = serial_s / max(threaded_s, 1e-12)
     print("\nensemble scaling: serial %.2f s, threaded %.2f s (%.2fx on %d "
           "cores)" % (serial_s, threaded_s, speedup, cores))
-    _record_result("ensemble_scaling", {
+    record_result(RESULTS_FILE, "ensemble_scaling", {
         "serial_s": serial_s, "threaded_s": threaded_s, "speedup": speedup,
     })
     assert speedup >= 1.3, (

@@ -1,8 +1,8 @@
 """Resource rules: files, mmaps, sockets and pools must close on all paths.
 
-The process drain backend leans on OS resources — shared-memory arena
-files, mmap'd weight stores, worker pipes — and the frontends on sockets
-and thread pools.  A resource bound to a local variable without a ``with``
+The serving frontends lean on OS resources — listening and client
+sockets, server threads, state files — and the ensemble fits on thread
+pools.  A resource bound to a local variable without a ``with``
 or a ``finally: ...close()`` leaks on the first exception between
 creation and cleanup; on a long-lived server that is an fd leak with a
 countdown.  The rule is deliberately structural (no data-flow solver):

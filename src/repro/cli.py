@@ -8,8 +8,8 @@ Usage::
     python -m repro pipeline --spec pipeline.json --input series.csv --save model
     python -m repro demo --method RAE
     python -m repro stream --method RAE --input - --train 200 --window 128
-    python -m repro serve --model rae.npz --input - --state-dir state/ --workers 4
-    python -m repro serve --model rae.npz --tcp 9000 --http 9001 --drain-backend process
+    python -m repro serve --model rae.npz --input - --state-dir state/
+    python -m repro serve --model rae.npz --tcp 9000 --http 9001
 
 ``detect`` reads a CSV whose columns are the series dimensions (an optional
 header row is auto-detected), computes per-observation outlier scores, and
@@ -261,21 +261,6 @@ def build_parser():
                        help="backpressure policy when the queue is full")
     serve.add_argument("--drain-every", type=int, default=32,
                        help="arrivals buffered between scoring drains")
-    serve.add_argument("--workers", type=int, default=None,
-                       help="drain worker count; with --drain-backend auto, "
-                            ">1 selects the 'threaded' backend (same-"
-                            "detector shard groups scored concurrently — "
-                            "applies to restored routers too, it only "
-                            "changes where forwards run, never their "
-                            "results)")
-    serve.add_argument("--drain-backend", default="auto",
-                       choices=("auto", "serial", "threaded", "process"),
-                       help="where drains score their shard groups: on the "
-                            "calling thread (serial), a thread pool "
-                            "(threaded), or a pool of worker processes "
-                            "sharing mmap'd weights (process); 'auto' "
-                            "(default) picks threaded when --workers > 1. "
-                            "All backends score bit-identically")
     serve.add_argument("--tcp", type=int, metavar="PORT",
                        help="serve the 'stream_id,value...' line protocol "
                             "on this TCP port (0 picks an ephemeral port); "
@@ -540,24 +525,8 @@ def _run_serve(args):
               "default detector restores from its own weights (saved "
               "weights always win; start a fresh --state-dir to serve a "
               "new model)", file=sys.stderr)
-    workers = args.workers if args.workers is None else max(int(args.workers), 1)
-    if args.drain_backend == "auto":
-        # Auto keeps the historical contract: --workers > 1 means threaded,
-        # anything else serial — and, on a restored router, "no execution
-        # flags" keeps the backend the router was SAVED with.
-        backend = (None if workers is None
-                   else ("threaded" if workers > 1 else "serial"))
-    else:
-        backend = args.drain_backend
     if restorable:
-        # --workers/--drain-backend are execution knobs (where forwards
-        # run), so unlike the semantic flags they DO apply to a restored
-        # router.
-        router = StreamRouter.restore(
-            args.state_dir, detector=override,
-            drain_backend=backend,
-            workers=workers,
-        )
+        router = StreamRouter.restore(args.state_dir, detector=override)
         detector = router.detector if router.detector is not None else override
         print("restored %d stream(s) from %s"
               % (len(router), args.state_dir), file=sys.stderr)
@@ -573,8 +542,6 @@ def _run_serve(args):
             window=args.window,
             queue_limit=args.queue_limit,
             on_full=args.on_full.replace("-", "_"),
-            drain_backend=backend,
-            workers=workers,
         )
     else:
         raise SystemExit("serve needs --model or --train-input (or a "
@@ -630,8 +597,8 @@ def _run_serve(args):
                     row = [float(c) for c in cells[1:]]
                 except (ValueError, IndexError):
                     continue  # header or malformed line
-                if not row:
-                    continue
+                if not row or not np.isfinite(row).all():
+                    continue  # the router refuses non-finite arrivals
                 router.submit(cells[0].strip(), row)
                 buffered += 1
                 if buffered >= drain_every:
@@ -667,7 +634,6 @@ def _run_serve(args):
                 print("warning: could not save router state: %s" % exc,
                       file=sys.stderr)
         _print_router_stats(router, router.window, detector)
-        router.close()  # stop the threaded backend's workers, if any
     return 0
 
 
@@ -706,9 +672,8 @@ def _serve_network(args, router, detector):
             previous[signum] = signal.signal(
                 signum, lambda *__: stop.set()
             )
-        print("ready (drain-every=%d, backend=%s); SIGTERM drains and "
-              "shuts down" % (engine.drain_every, router.drain_backend),
-              file=sys.stderr, flush=True)
+        print("ready (drain-every=%d); SIGTERM drains and shuts down"
+              % engine.drain_every, file=sys.stderr, flush=True)
         stop.wait()
         print("shutting down: draining buffered arrivals", file=sys.stderr)
     finally:
@@ -739,7 +704,6 @@ def _serve_network(args, router, detector):
                 print("warning: could not save router state: %s" % exc,
                       file=sys.stderr)
         _print_router_stats(router, router.window, detector)
-        router.close()
     return 0
 
 
@@ -818,9 +782,6 @@ def main(argv=None):
         from . import nn
 
         nn.tape.set_tape_enabled(False)
-        # Spawned drain workers re-import and read the env, so the opt-out
-        # must travel there too (fork inherits the toggle either way).
-        os.environ["REPRO_EAGER"] = "1"
     if args.command == "list-methods":
         for name in available_methods():
             print(name)

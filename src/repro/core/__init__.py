@@ -12,7 +12,6 @@ from .autoencoders import (
 from .convergence import ConvergenceTrace, stopping_conditions
 from .ensemble import RobustEnsemble
 from .persistence import (
-    WeightStore,
     load_detector,
     load_pipeline,
     save_detector,
@@ -39,7 +38,6 @@ __all__ = [
     "RobustEnsemble",
     "save_detector",
     "load_detector",
-    "WeightStore",
     "save_pipeline",
     "load_pipeline",
     "InferencePrograms",

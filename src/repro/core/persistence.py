@@ -29,7 +29,6 @@ __all__ = [
     "load_detector",
     "save_pipeline",
     "load_pipeline",
-    "WeightStore",
 ]
 
 _RAE_ARGS = (
@@ -50,25 +49,18 @@ def _module_state(prefix, module):
     return {"%s::%s" % (prefix, k): v for k, v in module.state_dict().items()}
 
 
-def _load_module_state(blob, prefix, module, keys=None, copy=True):
+def _load_module_state(blob, prefix, module):
     if module is None:
         return
-    if keys is None:
-        keys = blob.files if hasattr(blob, "files") else blob.keys()
     wanted = "%s::" % prefix
-    state = {
-        key[len(wanted):]: blob[key] for key in keys if key.startswith(wanted)
-    }
-    module.load_state_dict(state, copy=copy)
+    module.load_state_dict({
+        key[len(wanted):]: blob[key]
+        for key in blob.files if key.startswith(wanted)
+    })
 
 
-def _detector_payload(detector):
-    """``(meta, arrays)`` halves of a fitted RAE/RDAE serialisation.
-
-    Shared by every persistence surface: :func:`save_detector` zips the
-    arrays into one npz, :class:`WeightStore` lays them out as individual
-    ``.npy`` files so worker processes can map them read-only.
-    """
+def save_detector(detector, path):
+    """Serialise a fitted RAE or RDAE to ``path`` (a ``.npz`` file)."""
     if isinstance(detector, RAE):
         kind, arg_names = "RAE", _RAE_ARGS
     elif isinstance(detector, RDAE):
@@ -77,7 +69,10 @@ def _detector_payload(detector):
         raise TypeError("can only save RAE or RDAE, got %s" % type(detector).__name__)
     if not detector.is_fitted():
         raise RuntimeError("fit the detector before saving")
-    config = {name: getattr(detector, name) for name in arg_names}
+    meta = {
+        "kind": kind,
+        "config": {name: getattr(detector, name) for name in arg_names},
+    }
     arrays = {
         "scale_mean": detector._scale_mean,
         "scale_std": detector._scale_std,
@@ -91,49 +86,6 @@ def _detector_payload(detector):
         arrays.update(_module_state("inner", detector._inner))
         arrays.update(_module_state("f1", detector._f1))
         arrays.update(_module_state("f2", detector._f2))
-    return {"kind": kind, "config": config}, arrays
-
-
-def _rebuild_detector(meta, blob, copy=True):
-    """Inverse of :func:`_detector_payload` over any array mapping.
-
-    ``blob`` only needs ``__getitem__`` plus a key listing (an npz handle or
-    a plain dict).  ``copy=False`` adopts the arrays as-is — the weight-store
-    path, where they are read-only memmaps shared across processes.
-    """
-    keys = blob.files if hasattr(blob, "files") else blob.keys()
-    config = meta["config"]
-    if meta["kind"] == "RAE":
-        detector = RAE(**config)
-        rng = np.random.default_rng(detector.seed)
-        dims = blob["clean"].shape[1]
-        detector.model_ = detector._build(dims, rng)
-        _load_module_state(blob, "model", detector.model_, keys, copy)
-    elif meta["kind"] == "RDAE":
-        detector = RDAE(**config)
-        rng = np.random.default_rng(detector.seed)
-        dims = blob["clean"].shape[1]
-        length = blob["clean"].shape[0]
-        window = detector._effective_window(length)
-        detector._inner, detector._f1, detector._f2 = detector._build_modules(
-            dims, window, rng
-        )
-        _load_module_state(blob, "inner", detector._inner, keys, copy)
-        _load_module_state(blob, "f1", detector._f1, keys, copy)
-        _load_module_state(blob, "f2", detector._f2, keys, copy)
-    else:  # pragma: no cover - corrupt file
-        raise ValueError("unknown detector kind %r" % meta["kind"])
-    detector._scale_mean = blob["scale_mean"]
-    detector._scale_std = blob["scale_std"]
-    detector.clean_ = blob["clean"]
-    detector.outlier_ = blob["outlier"]
-    detector._residual = blob["residual"]
-    return detector
-
-
-def save_detector(detector, path):
-    """Serialise a fitted RAE or RDAE to ``path`` (a ``.npz`` file)."""
-    meta, arrays = _detector_payload(detector)
     arrays["__meta__"] = np.frombuffer(
         json.dumps(meta).encode(), dtype=np.uint8
     )
@@ -144,76 +96,33 @@ def load_detector(path):
     """Load a detector saved by :func:`save_detector`; ready for scoring."""
     blob = np.load(path)
     meta = json.loads(bytes(blob["__meta__"]).decode())
-    return _rebuild_detector(meta, blob)
-
-
-class WeightStore:
-    """A directory of fitted-detector weights that processes share by mmap.
-
-    :func:`save_detector` packs everything into one npz — compact, but a
-    zip archive cannot be memory-mapped, so every process that loads it
-    pays for (and owns) a private copy of every array.  The serving
-    layer's process-parallel drain backend wants the opposite: ``N``
-    worker processes scoring shards of the *same* fitted detector should
-    share **one** physical copy of its weights.  The store therefore lays
-    each detector out as ``<ref>/meta.json`` plus one plain ``.npy`` file
-    per array; :meth:`load` maps them read-only (``mmap_mode='r'``), so
-    however many workers open a detector, its pages live once in the OS
-    page cache.
-
-    The layout is append-only and the parent writes a ref completely
-    before publishing it to any worker, so readers never see a partial
-    detector.  Entries are identical bytes to the npz sidecars (same
-    :func:`_detector_payload`), hence loaded detectors score bit-identically
-    to the originals.
-    """
-
-    _META = "meta.json"
-
-    def __init__(self, directory):
-        self.directory = str(directory)
-        os.makedirs(self.directory, exist_ok=True)
-        self._count = 0
-
-    def add(self, detector):
-        """Persist ``detector``; returns its ref (a directory name)."""
-        meta, arrays = _detector_payload(detector)
-        while True:
-            ref = "d%d" % self._count
-            self._count += 1
-            entry_dir = os.path.join(self.directory, ref)
-            if not os.path.exists(entry_dir):
-                break
-        os.makedirs(entry_dir)
-        index = {}
-        for i, (key, value) in enumerate(arrays.items()):
-            filename = "a%d.npy" % i
-            np.save(os.path.join(entry_dir, filename),
-                    np.ascontiguousarray(value))
-            index[key] = filename
-        doc = dict(meta, arrays=index)
-        with open(os.path.join(entry_dir, self._META), "w") as handle:
-            json.dump(doc, handle, indent=2)
-            handle.write("\n")
-        return ref
-
-    def load(self, ref, mmap=True):
-        """Rebuild the detector stored under ``ref``, ready for scoring.
-
-        With ``mmap=True`` (default) every array — module parameters and
-        fitted decomposition alike — is a read-only memory map: cheap to
-        open, shared across processes, and never written (serving only
-        reads weights).  ``mmap=False`` loads private in-memory copies.
-        """
-        entry_dir = os.path.join(self.directory, str(ref))
-        with open(os.path.join(entry_dir, self._META)) as handle:
-            doc = json.load(handle)
-        mode = "r" if mmap else None
-        blob = {
-            key: np.load(os.path.join(entry_dir, filename), mmap_mode=mode)
-            for key, filename in doc["arrays"].items()
-        }
-        return _rebuild_detector(doc, blob, copy=not mmap)
+    config = meta["config"]
+    if meta["kind"] == "RAE":
+        detector = RAE(**config)
+        rng = np.random.default_rng(detector.seed)
+        dims = blob["clean"].shape[1]
+        detector.model_ = detector._build(dims, rng)
+        _load_module_state(blob, "model", detector.model_)
+    elif meta["kind"] == "RDAE":
+        detector = RDAE(**config)
+        rng = np.random.default_rng(detector.seed)
+        dims = blob["clean"].shape[1]
+        length = blob["clean"].shape[0]
+        window = detector._effective_window(length)
+        detector._inner, detector._f1, detector._f2 = detector._build_modules(
+            dims, window, rng
+        )
+        _load_module_state(blob, "inner", detector._inner)
+        _load_module_state(blob, "f1", detector._f1)
+        _load_module_state(blob, "f2", detector._f2)
+    else:  # pragma: no cover - corrupt file
+        raise ValueError("unknown detector kind %r" % meta["kind"])
+    detector._scale_mean = blob["scale_mean"]
+    detector._scale_std = blob["scale_std"]
+    detector.clean_ = blob["clean"]
+    detector.outlier_ = blob["outlier"]
+    detector._residual = blob["residual"]
+    return detector
 
 
 # --------------------------------------------------------------------- #

@@ -215,7 +215,7 @@ def drain_group_key(detector):
 # --------------------------------------------------------------------- #
 
 class InferencePrograms:
-    """Per-router (or per-worker) cache of compiled score forwards.
+    """Per-router cache of compiled score forwards.
 
     One instance is shared by every shard of a router — solo slice
     forwards replay grad-free :func:`repro.nn.tape.score_tape` recordings,
@@ -227,9 +227,9 @@ class InferencePrograms:
     array was hot-swapped since the program compiled (the program is
     refreshed from the new weights before it replays).
 
-    Thread-safe: the cache map and counters sit behind one lock, and every
-    program serialises its own replays — concurrent drain workers scoring
-    different groups never contend beyond the cache lookup.
+    Thread-safe: the cache map and counters sit behind one lock
+    (``StreamRouter.stats()`` takes the counters from frontend threads
+    while a drain replays), and every program serialises its own replays.
     """
 
     _MAX_STACKED = 32

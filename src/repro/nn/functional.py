@@ -60,9 +60,9 @@ __all__ = [
 # enter it around their forwards, training never pays for it.
 #
 # The flag is thread-local (like grad mode in .tensor): every serving
-# forward enters the context on the thread that runs it — including the
-# threaded drain backend's workers, which each call the forward helper
-# themselves — while a fit training concurrently on another thread keeps
+# forward enters the context on the thread that runs it — a drain runs on
+# whichever frontend connection thread triggered it — while a fit training
+# concurrently on another thread (a threaded ensemble member, say) keeps
 # the default kernels.  The stable branch rounds differently (that is the
 # point), so leaking it into a fit would make training results depend on
 # drain timing and break fixed-seed determinism.

@@ -115,21 +115,14 @@ class Module:
         """Copy of all parameter arrays keyed by qualified name."""
         return {name: p.data.copy() for name, p in self.named_parameters()}
 
-    def load_state_dict(self, state, copy=True):
-        """Install parameter arrays keyed by qualified name.
-
-        ``copy=False`` adopts the passed arrays as-is — the serving-layer
-        weight-store path, where parameters are read-only ``np.memmap``
-        views that many worker processes share through the page cache
-        (inference only reads parameters; training would need owned,
-        writable copies, i.e. the default).
-        """
+    def load_state_dict(self, state):
+        """Install copies of parameter arrays keyed by qualified name."""
         for name, param in self.named_parameters():
             if name not in state:
                 raise KeyError("missing parameter %r" % name)
             if param.data.shape != state[name].shape:
                 raise ValueError("shape mismatch for %r" % name)
-            param.data = state[name].copy() if copy else state[name]
+            param.data = state[name].copy()
 
 
 class Linear(Module):

@@ -467,9 +467,9 @@ class ScoreTape:
     by construction, not by approximation.
 
     Replays are serialised by an internal lock: a tape's buffers are
-    shared mutable state, and two router worker threads may reach the
-    same module's tape (replays are short; contention only arises when
-    two groups genuinely share a module).
+    shared mutable state, and two threads may reach the same module's
+    tape (e.g. two routers serving one detector, drained from different
+    frontend threads; replays are short, so contention is rare).
     """
 
     def __init__(self, module):

@@ -31,9 +31,10 @@ import numpy as np
 
 __all__ = ["Tensor", "as_tensor", "no_grad", "is_grad_enabled"]
 
-# Grad mode is per-thread: the threaded drain backend of repro.serve runs
-# inference under ``no_grad`` from worker threads, which must never toggle
-# graph construction for a fit running concurrently on another thread.
+# Grad mode is per-thread: repro.serve drains run inference under
+# ``no_grad`` on whichever frontend connection thread triggered them, and
+# the threaded member fits of repro.core.ensemble train concurrently; one
+# thread's no_grad must never toggle graph construction for another's fit.
 _GRAD_STATE = threading.local()
 
 

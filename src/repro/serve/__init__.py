@@ -6,12 +6,9 @@ arrivals in a bounded ingestion queue, and drains bursts as micro-batches —
 shards that share a fitted RAE/RDAE are refreshed through one grouped
 forward pass per drain (:func:`repro.core.batched_session_scores`), each
 contributing only the receptive-field-bounded window tail its arrivals can
-change.  ``submit``/``stats`` are thread-safe, and drains come in three
-backends — ``serial``, ``threaded`` (same-detector shard groups scored
-concurrently on a worker *thread* pool; see the :mod:`.router` concurrency
-contract), and ``process`` (a persistent worker-*process* pool fed through
-shared-memory arenas and an mmap'd read-only weight store; see
-:mod:`.workers`) — all bit-identical in what they score.
+change.  ``submit``/``stats`` are thread-safe so that every frontend
+connection thread can feed one router, and drains run serially on the
+calling thread (see the :mod:`.router` concurrency contract).
 
 Remote traffic reaches the router through :mod:`.frontend`: the ``repro
 serve`` CLI subcommand speaks a ``stream_id,value...`` line protocol on
@@ -27,15 +24,12 @@ from .router import (
     StreamRouter,
     score_shard_group,
 )
-from .workers import ProcessDrainPool, WorkerCrashError
 
 __all__ = [
     "StreamRouter",
     "QueueFullError",
     "DrainError",
     "score_shard_group",
-    "ProcessDrainPool",
-    "WorkerCrashError",
     "FrontendEngine",
     "TcpFrontend",
     "HttpFrontend",

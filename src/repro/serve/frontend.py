@@ -52,6 +52,11 @@ from .router import DrainError
 
 __all__ = ["FrontendEngine", "TcpFrontend", "HttpFrontend"]
 
+#: Largest ``POST /submit`` body accepted, in bytes.  A burst of a few
+#: hundred arrivals is a few KiB; the bound only stops one request from
+#: buffering without limit.
+MAX_BODY_BYTES = 8 << 20
+
 
 class FrontendEngine:
     """Shared submit/drain/deliver core for every serving frontend.
@@ -112,6 +117,11 @@ class FrontendEngine:
         mismatch) still attributes the already-accepted prefix to
         ``origin`` before the exception propagates — scores and segments
         can never drift apart.
+
+        The engine lock is held from the first enqueue to the segment
+        update, so segments follow queue order even when producers race on
+        one stream, and a concurrent drain (which attributes under the same
+        lock) never sees a queued arrival whose segment is not yet recorded.
         """
         rows = np.asarray(rows, dtype=np.float64)
         if rows.ndim == 0:
@@ -119,13 +129,13 @@ class FrontendEngine:
         if rows.ndim == 1:
             rows = rows[:, None]
         accepted = 0
-        try:
-            for row in rows:
-                self.router.submit(stream_id, row)
-                accepted += 1
-        finally:
-            if accepted:
-                with self._lock:
+        with self._lock:
+            try:
+                for row in rows:
+                    self.router.submit(stream_id, row)
+                    accepted += 1
+            finally:
+                if accepted:
                     segments = self._segments.setdefault(stream_id, deque())
                     if segments and segments[-1][0] is origin:
                         segments[-1][1] += accepted
@@ -417,11 +427,28 @@ class _HttpHandler(BaseHTTPRequestHandler):
         engine = self.server.frontend.engine
         try:
             length = int(self.headers.get("Content-Length") or 0)
+        except ValueError:
+            length = -1
+        # Refuse bad lengths without reading the body: a negative length
+        # would read to EOF and park this thread, a huge one would buffer
+        # it all.  The unread body dies with the closed connection.
+        if length < 0 or length > MAX_BODY_BYTES:
+            self.close_connection = True
+            if length < 0:
+                self._json(400, {"error": "Content-Length must be a "
+                                          "non-negative integer"})
+            else:
+                self._json(413, {"error": "body of %d bytes exceeds the "
+                                          "%d-byte limit"
+                                          % (length, MAX_BODY_BYTES)})
+            return
+        try:
             document = json.loads(self.rfile.read(length) or b"{}")
         except (ValueError, TypeError):
             self._json(400, {"error": "body is not valid JSON"})
             return
-        arrivals = document.get("arrivals")
+        arrivals = (document.get("arrivals")
+                    if isinstance(document, dict) else None)
         if not isinstance(arrivals, list):
             self._json(400, {"error": "body must be {\"arrivals\": "
                                       "[{\"stream\": id, \"values\": ...}]}"})

@@ -34,13 +34,10 @@ per-stream counter mutation happens under one internal lock, so any number
 of producer threads may feed the router while another thread drains.
 ``stats``/``stream_stats`` take the same lock once and return a consistent
 snapshot (counters never tear mid-drain).  ``drain`` itself is serialised —
-concurrent calls queue up on a drain lock so per-stream chunk ordering is
-preserved — and parallelism *within* a drain comes from the ``threaded``
-backend: ``StreamRouter(drain_backend="threaded", workers=4)`` partitions
-the burst into same-architecture shard groups (the unit that shares
-grouped forwards) and scores the groups concurrently on a worker pool, which
-overlaps independent detectors' NumPy/BLAS work.  ``save``/``restore``
-must not race an active ``drain`` of the same router.
+concurrent calls (e.g. from several frontend connection threads) queue up
+on a drain lock so per-stream chunk ordering is preserved.  Each drain
+scores its shard groups one after another on the calling thread.
+``save``/``restore`` must not race an active ``drain`` of the same router.
 """
 
 from __future__ import annotations
@@ -59,8 +56,6 @@ __all__ = ["StreamRouter", "QueueFullError", "DrainError", "score_shard_group"]
 
 _MANIFEST = "router.json"
 _STATE = "state.npz"
-
-_BACKENDS = ("serial", "threaded", "process")
 
 
 class QueueFullError(RuntimeError):
@@ -83,14 +78,24 @@ class DrainError(RuntimeError):
         self.failures = failures
 
 
+def _require_finite(stream_id, values):
+    # One NaN/inf would poison the stream's window — every score NaN until
+    # it ages out — without any counter noticing, so refuse it up front.
+    if not np.isfinite(values).all():
+        raise ValueError(
+            "stream %r: arrivals must be finite, got %s"
+            % (stream_id, values[~np.isfinite(values)][0])
+        )
+
+
 def reset_scorer_state(scorer, state):
     """Force ``scorer`` to exactly the retained state ``state``.
 
     Unlike :meth:`repro.stream.StreamScorer.load_state_dict` (which treats
     an ``empty`` state as "nothing to restore"), this also *clears* live
-    state when the target is empty — the semantics both the fault-isolation
-    rollback and the process backend's workers need: after it, the scorer
-    is indistinguishable from one that only ever saw ``state``.
+    state when the target is empty — the semantics the fault-isolation
+    rollback needs: after it, the scorer is indistinguishable from one that
+    only ever saw ``state``.
     """
     if state["kind"] == "empty":
         scorer._session = None
@@ -102,16 +107,13 @@ def reset_scorer_state(scorer, state):
 def score_shard_group(shards, items, batch_size, programs=None):
     """Score one shard group: ``items = [(stream_id, rows)]``.
 
-    The worker unit of every drain backend — the serial path runs it on the
-    calling thread, the threaded pool on worker threads, and the process
-    backend ships it (with each shard's state) to a worker process, which
-    runs this very function.  Ingests each stream's pending points as one
-    micro-batch, then refreshes the group's session-backed shards through
-    grouped *tail* forwards (:func:`repro.core.batched_session_scores` with
-    the chunk sizes) — bounded slices for receptive-field-capable
-    architectures, full windows otherwise.  Touches only the ``shards``
-    mapping it is given, never a queue or counters, so groups score
-    concurrently without locks.
+    The unit of work of every drain.  Ingests each stream's pending points
+    as one micro-batch, then refreshes the group's session-backed shards
+    through grouped *tail* forwards
+    (:func:`repro.core.batched_session_scores` with the chunk sizes) —
+    bounded slices for receptive-field-capable architectures, full windows
+    otherwise.  Touches only the ``shards`` mapping it is given, never a
+    queue or counters, so it runs without the router lock.
 
     Fault isolation covers the whole shard lifecycle: a stream that fails
     to *ingest* (e.g. an unfitted detector) never mutated its shard, and a
@@ -200,20 +202,6 @@ class StreamRouter:
         must drain; ``'drop_oldest'`` evicts the oldest queued arrival to
         make room and counts it against its stream's ``dropped`` stat.
     batch_size: maximum shards stacked into one grouped forward per drain.
-    drain_backend: ``'serial'`` (default — score the burst on the calling
-        thread), ``'threaded'`` (score same-architecture shard groups
-        concurrently on a worker *thread* pool — overlaps NumPy/BLAS work
-        but stays GIL-bound for the Python glue), or ``'process'`` (score
-        the groups on a pool of persistent worker **processes** — true
-        CPU parallelism; arrivals and shard state travel through
-        shared-memory arenas and fitted RAE/RDAE weights through an
-        mmap'd read-only :class:`repro.core.WeightStore`, so N workers
-        share one physical copy of each detector; see :mod:`.workers`).
-        All three backends produce bit-identical scores — they change
-        where forwards run, never what they compute.  ``None`` picks
-        ``'threaded'`` when ``workers > 1``.
-    workers: worker-pool size (default 4 for ``'threaded'``, 2 for
-        ``'process'``; ignored by ``'serial'``).
     """
 
     #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded):
@@ -227,14 +215,12 @@ class StreamRouter:
         "_dims": "_lock",
         "_drains": "_lock",
         "_shards": "_lock",
-        "_pool": "_lock",
-        "_procs": "_lock",
         "_prog_counters": "_lock",
     }
 
     def __init__(self, detector=None, *, window=256, min_points=2,
                  mode="auto", queue_limit=1024, batch_size=32,
-                 on_full="error", drain_backend=None, workers=None):
+                 on_full="error"):
         if detector is not None:
             from ..api import as_detector
 
@@ -254,20 +240,6 @@ class StreamRouter:
             )
         self.on_full = on_full
         self.batch_size = max(int(batch_size), 1)
-        if drain_backend is None:
-            drain_backend = (
-                "threaded" if workers is not None and int(workers) > 1
-                else "serial"
-            )
-        if drain_backend not in _BACKENDS:
-            raise ValueError(
-                "drain_backend must be one of %s, got %r"
-                % ("/".join(_BACKENDS), drain_backend)
-            )
-        self.drain_backend = drain_backend
-        if workers is None:
-            workers = {"threaded": 4, "process": 2}.get(drain_backend, 1)
-        self.workers = max(int(workers), 1)
         self._shards = {}
         self._dims = {}  # per-stream row width, fixed by the first arrival
         self._queue = deque()
@@ -280,13 +252,10 @@ class StreamRouter:
         # takes _drain_lock first, then _lock for queue/counter mutation.
         self._lock = threading.RLock()
         self._drain_lock = threading.Lock()
-        self._pool = None  # lazily-built worker pool (threaded backend)
-        self._procs = None  # lazily-built process pool (process backend)
         # Compiled-inference program cache shared by every shard of this
         # router (internally locked; not in _GUARDED_BY).  _prog_counters
         # holds the persistent totals stats()/save absorb drain deltas
-        # into — on the process backend the workers hold their own caches
-        # and ship deltas back with each payload.
+        # into.
         self._programs = InferencePrograms()
         self._prog_counters = {"hits": 0, "misses": 0, "invalidations": 0}
 
@@ -390,9 +359,11 @@ class StreamRouter:
         Thread-safe: validation, enqueueing and counter updates happen
         atomically under the router lock, so concurrent producers never
         tear the queue or the per-stream counters (see the module-level
-        concurrency contract).
+        concurrency contract).  Raises ``ValueError`` for NaN or infinite
+        values, before anything is queued.
         """
         row = np.asarray(point, dtype=np.float64).reshape(-1)
+        _require_finite(stream_id, row)
         with self._lock:
             self._ensure_stream_locked(stream_id)
             self._check_dims_locked(stream_id, row.shape[0])
@@ -403,11 +374,13 @@ class StreamRouter:
         """Enqueue every row of a ``(n, dims)`` (or ``(n,)``) chunk.
 
         Thread-safe, and atomic as a chunk: the rows enqueue contiguously
-        even when other producers are submitting concurrently.
+        even when other producers are submitting concurrently.  A chunk
+        holding any NaN or infinite value is rejected whole (``ValueError``).
         """
         arr = np.asarray(points, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, None]
+        _require_finite(stream_id, arr)
         with self._lock:
             self._ensure_stream_locked(stream_id)
             if arr.shape[0]:
@@ -418,86 +391,6 @@ class StreamRouter:
 
     # ------------------------------------------------------------------ #
     # scoring
-    def _score_group(self, shards, items):
-        """In-process scoring of one shard group (serial/threaded unit).
-
-        ``shards`` is the drain's snapshot of the participating shards,
-        cut under the router lock — worker threads must never walk
-        ``self._shards`` while producers register new streams.
-        """
-        return score_shard_group(
-            shards, items, self.batch_size, programs=self._programs
-        )
-
-    def _drain_pool(self):
-        """The threaded backend's worker pool, built on first use."""
-        with self._lock:
-            if self._pool is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self.workers,
-                    thread_name_prefix="repro-drain",
-                )
-            return self._pool
-
-    def _process_pool(self):
-        """The process backend's worker-process pool, built on first use."""
-        with self._lock:
-            if self._procs is None:
-                from .workers import ProcessDrainPool
-
-                self._procs = ProcessDrainPool(self.workers)
-            return self._procs
-
-    def close(self):
-        """Shut down the drain backend's workers (if they ever ran).
-
-        Serial routers need no cleanup; threaded and process routers should
-        be closed (or have their process exit) when serving stops — the
-        process backend additionally removes its weight-store spool
-        directory and shared-memory arenas.  Idempotent.  The pools are
-        detached under the lock but torn down outside it — shutdown blocks
-        on in-flight work, and holding the router lock across that would
-        deadlock a concurrent submit.
-        """
-        with self._lock:
-            pool, self._pool = self._pool, None
-            procs, self._procs = self._procs, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-        if procs is not None:
-            procs.close()
-
-    def _drain_process(self, shards, group_list):
-        """Score the burst's shard groups on the worker-process pool.
-
-        Each group travels to one worker as (stream config, shard state,
-        pending rows); the worker rebuilds the shards — detector weights
-        from the shared mmap'd store, state from the shipped arrays — runs
-        :func:`score_shard_group`, and returns scores plus the post-ingest
-        shard states, which are installed back into the parent's shards.
-        The parent therefore stays authoritative: shard state advances
-        only on success, so a crashed worker (its group's streams come
-        back as :class:`repro.serve.workers.WorkerCrashError` failures,
-        and the pool has already respawned a replacement) leaves the
-        parent exactly as before the drain — re-queued arrivals replay
-        with zero loss or duplication.
-        """
-        packed = self._process_pool().score_groups(
-            shards, group_list, self.batch_size
-        )
-        scored = []
-        for group, (results, failures, states) in zip(group_list, packed):
-            rows_by_sid = dict(group)
-            for stream_id, state in states.items():
-                shards[stream_id].load_state_dict(state)
-            scored.append((results, {
-                stream_id: (exc, rows_by_sid[stream_id])
-                for stream_id, exc in failures.items()
-            }))
-        return scored
-
     def drain(self, max_points=None):
         """Score queued arrivals; returns ``{stream_id: scores}``.
 
@@ -508,10 +401,8 @@ class StreamRouter:
         first-arrival order of this drain.
 
         Concurrency: drains are serialised against each other (a second
-        caller blocks until the first finishes), producers may keep
-        submitting throughout, and with ``drain_backend='threaded'`` the
-        burst's same-architecture shard groups score concurrently on the
-        worker pool.
+        caller blocks until the first finishes), and producers may keep
+        submitting throughout.
 
         A shard that fails to ingest (e.g. an unfitted detector) never
         destroys the burst: the other streams are scored normally, the
@@ -531,36 +422,27 @@ class StreamRouter:
                     stream_id, row = self._queue.popleft()
                     chunks.setdefault(stream_id, []).append(row)
                 # Snapshot the participating shards while the lock is
-                # held: scoring runs lock-free (possibly on worker
-                # threads), and must not walk self._shards while a
-                # producer's add_stream mutates it.  Shard objects are
-                # safe to score unlocked — only this drain touches them
-                # (drains are serialised, submit never runs a scorer).
+                # held: scoring runs without it, and must not walk
+                # self._shards while a producer's add_stream mutates it.
+                # Shard objects are safe to score unlocked — only this
+                # drain touches them (drains are serialised, submit never
+                # runs a scorer).
                 shards = {stream_id: self._shards[stream_id]
                           for stream_id in chunks}
             # Partition the burst into same-architecture shard groups —
-            # the unit that shares grouped forwards, hence the unit of
-            # backend parallelism.  Keyed by architecture fingerprint, so
-            # distinct same-spec detectors (one per stream) drain through
-            # one stacked forward; detectors the fingerprint declines
-            # (unfitted, baselines) fall back to identity keys.
+            # the unit that shares grouped forwards.  Keyed by architecture
+            # fingerprint, so distinct same-spec detectors (one per stream)
+            # drain through one stacked forward; detectors the fingerprint
+            # declines (unfitted, baselines) fall back to identity keys.
             groups = {}
             for stream_id, rows in chunks.items():
                 key = drain_group_key(shards[stream_id].detector)
                 groups.setdefault(key, []).append((stream_id, rows))
-            group_list = list(groups.values())
-            if self.drain_backend == "process":
-                scored = self._drain_process(shards, group_list)
-            elif self.drain_backend == "threaded" and len(group_list) > 1:
-                futures = [self._drain_pool().submit(
-                               self._score_group, shards, group)
-                           for group in group_list]
-                scored = [future.result() for future in futures]
-            else:
-                scored = [self._score_group(shards, group)
-                          for group in group_list]
             results, failures = {}, {}
-            for group_results, group_failures in scored:
+            for group in groups.values():
+                group_results, group_failures = score_shard_group(
+                    shards, group, self.batch_size, programs=self._programs
+                )
                 results.update(group_results)
                 failures.update(group_failures)
             with self._lock:
@@ -571,8 +453,7 @@ class StreamRouter:
                     self._scored[stream_id] += scores.shape[0]
                 self._drains += 1
                 self._absorb_program_counters_locked()
-        # Streams appear in first-arrival order of the drain, exactly as
-        # the serial implementation always returned them.
+        # Streams appear in first-arrival order of the drain.
         results = {stream_id: results[stream_id]
                    for stream_id in chunks if stream_id in results}
         if failures:
@@ -701,8 +582,6 @@ class StreamRouter:
                 "queue_limit": self.queue_limit,
                 "batch_size": self.batch_size,
                 "on_full": self.on_full,
-                "drain_backend": self.drain_backend,
-                "workers": self.workers,
             },
             "detectors": detectors,
             "default_detector": default,
@@ -722,8 +601,7 @@ class StreamRouter:
         return path
 
     @classmethod
-    def restore(cls, directory, detector=None, drain_backend=None,
-                workers=None):
+    def restore(cls, directory, detector=None):
         """Rebuild a router saved by :meth:`save`; scoring resumes exactly.
 
         Every shard is rebuilt from its saved spec/weights and reloaded
@@ -743,9 +621,9 @@ class StreamRouter:
         ``score_new`` shards whose fitted state could not be persisted are
         rejected here, up front, with the remedy — never at first drain.
 
-        ``drain_backend=``/``workers=`` override the saved execution
-        backend (they change *where* forwards run, never what they
-        compute, so overriding them cannot perturb restored scores).
+        Manifests written while the router still had parallel drain
+        backends carry two extra execution keys in their config; restore
+        ignores them (they never affected scores) and drains serially.
         """
         with open(os.path.join(directory, _MANIFEST)) as handle:
             manifest = json.load(handle)
@@ -789,10 +667,6 @@ class StreamRouter:
             queue_limit=config["queue_limit"],
             batch_size=config["batch_size"],
             on_full=config["on_full"],
-            drain_backend=(drain_backend if drain_backend is not None
-                           else config.get("drain_backend")),
-            workers=(workers if workers is not None
-                     else config.get("workers")),
         )
         state_path = os.path.join(directory, _STATE)
         blob = np.load(state_path) if os.path.exists(state_path) else None
@@ -849,19 +723,9 @@ class StreamRouter:
     # observability
     def _absorb_program_counters_locked(self):
         """Fold pending compiled-path cache deltas into the persistent
-        totals; caller must hold ``self._lock``.
-
-        Two delta sources: the in-process :class:`InferencePrograms` shared
-        by the serial/threaded backends, and — when the process backend has
-        ever run — the per-worker caches, whose deltas the pool collected
-        from drain payloads.
-        """
-        deltas = [self._programs.take_counters()]
-        if self._procs is not None:
-            deltas.append(self._procs.take_program_counters())
-        for delta in deltas:
-            for key, value in delta.items():
-                self._prog_counters[key] += value
+        totals; caller must hold ``self._lock``."""
+        for key, value in self._programs.take_counters().items():
+            self._prog_counters[key] += value
 
     def _stream_stats_locked(self, stream_id):
         """One stream's counters; caller must hold ``self._lock``."""
@@ -911,8 +775,7 @@ class StreamRouter:
                 "dropped": sum(self._dropped.values()),
                 # Compiled-inference program cache: hits/misses are tape
                 # and stacked-program lookups, invalidations are weight
-                # hot-swaps detected at replay time.  Aggregated across
-                # backends (worker processes ship their deltas home).
+                # hot-swaps detected at replay time.
                 "program_cache": dict(self._prog_counters),
                 "per_stream": {
                     stream_id: self._stream_stats_locked(stream_id)

@@ -31,7 +31,7 @@ def test_lint_actually_covered_the_tree():
         "cli.py",
         os.path.join("nn", "functional.py"),
         os.path.join("serve", "router.py"),
-        os.path.join("serve", "workers.py"),
+        os.path.join("serve", "frontend.py"),
         os.path.join("analysis", "engine.py"),
     ):
         assert expected in linted

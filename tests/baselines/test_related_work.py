@@ -1,7 +1,6 @@
 """Related-work extras (Section VI): HOT SAX and Series2Graph."""
 
 import numpy as np
-import pytest
 
 from repro.baselines import HotSAX, Series2Graph, sax_word
 from repro.baselines.hotsax import paa

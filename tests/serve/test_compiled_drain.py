@@ -59,13 +59,12 @@ def serve_chunks(seed=1, chunks=3, rows=30, dims=1):
     return [rng.standard_normal((rows, dims)) for __ in range(chunks)]
 
 
-def run_scenario(detectors, compiled, backend="serial"):
+def run_scenario(detectors, compiled):
     """Drain the same burst sequence through a fresh router; returns
     (per-drain results, final stats)."""
     previous = nntape.set_tape_enabled(compiled)
     try:
-        router = StreamRouter(window=64, min_points=2,
-                              drain_backend=backend, workers=2)
+        router = StreamRouter(window=64, min_points=2)
         for index, detector in enumerate(detectors):
             router.add_stream("s%d" % index, detector)
         drained = []
@@ -76,9 +75,7 @@ def run_scenario(detectors, compiled, backend="serial"):
                 {sid: scores.copy()
                  for sid, scores in router.drain().items()}
             )
-        stats = router.stats()
-        router.close()
-        return drained, stats
+        return drained, router.stats()
     finally:
         nntape.set_tape_enabled(previous)
 
@@ -110,11 +107,12 @@ def test_registry_method_compiled_drain_bit_equal(name):
         assert cache["misses"] + cache["hits"] > 0
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
+# Drains run serially in-process: "serial" is the only backend.
+@pytest.mark.parametrize("backend", ["serial"])
 def test_compiled_drain_bit_equal_across_backends(backend):
     detectors = fitted_fleet("RAE")
-    eager = run_scenario(detectors, compiled=False, backend="serial")
-    compiled = run_scenario(detectors, compiled=True, backend=backend)
+    eager = run_scenario(detectors, compiled=False)
+    compiled = run_scenario(detectors, compiled=True)
     assert_identical_runs(eager, compiled)
     cache = compiled[1]["program_cache"]
     assert cache["misses"] + cache["hits"] > 0, backend
@@ -183,7 +181,6 @@ def test_program_cache_counters_persist_across_save_restore(tmp_path):
         before = router.stats()["program_cache"]
         assert before["misses"] + before["hits"] > 0
         router.save(tmp_path)
-        router.close()
 
         restored = StreamRouter.restore(tmp_path)
         assert restored.stats()["program_cache"] == before
@@ -198,7 +195,6 @@ def test_program_cache_counters_persist_across_save_restore(tmp_path):
         assert after["misses"] + after["hits"] > (
             before["misses"] + before["hits"]
         )
-        restored.close()
     finally:
         nntape.set_tape_enabled(previous)
 
@@ -264,6 +260,5 @@ def test_botched_hot_swap_fails_only_its_stream():
         assert recovered["s1"].shape == (16,)
         assert np.isfinite(recovered["s1"]).all()
         assert router.stats()["per_stream"]["s1"]["lag"] == 0
-        router.close()
     finally:
         nntape.set_tape_enabled(previous)

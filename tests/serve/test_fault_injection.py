@@ -1,31 +1,20 @@
-"""Fault injection for the serving layer: failing shards and dying workers.
+"""Fault injection for the serving layer: shards that fail mid-drain.
 
-Two fault models, both triggered by a magic POISON value travelling *in
-the data* (a process worker holds its own unpickled detector copy, so
-flipping a flag on the parent's instance would never reach it):
+:class:`TripwireDetector` raises from ``score`` whenever the live window
+contains a magic POISON value travelling *in the data*.  A drain must
+isolate it: healthy streams score, the faulty stream's arrivals return to
+the queue front, state is rolled back so nothing is double-ingested, and
+once the poison ages out of the window the stream recovers with zero lost
+or duplicated arrivals.
 
-* :class:`TripwireDetector` raises from ``score`` whenever the live
-  window contains POISON — an ordinary in-process scoring fault.  All
-  three drain backends must isolate it identically: healthy streams score,
-  the faulty stream's arrivals return to the queue front, state is rolled
-  back so nothing is double-ingested, and once the poison ages out of the
-  window the stream recovers with zero lost or duplicated arrivals.
-* :class:`KamikazeDetector` SIGKILLs its own worker process mid-drain —
-  the process backend's hard-crash path.  The parent must convert the
-  dead pipe into a :class:`WorkerCrashError` for exactly that group,
-  score the groups on surviving workers, respawn the slot, and recover.
-
-Everything here is deterministic on a single-core host: faults fire on
-data content, never on timing.
+Everything here is deterministic: faults fire on data content, never on
+timing.
 """
-
-import os
-import signal
 
 import numpy as np
 import pytest
 
-from repro.serve import DrainError, StreamRouter, WorkerCrashError
+from repro.serve import DrainError, StreamRouter
 
 POISON = -86486486.0  # exact in float64, never produced by clean feeds
 
@@ -45,28 +34,16 @@ class TripwireDetector:
         return np.abs(X).sum(axis=1)
 
 
-class KamikazeDetector(TripwireDetector):
-    """Kills its own process on POISON — only ever score this in a worker."""
-
-    def score(self, X):
-        X = np.asarray(X, dtype=np.float64)
-        if np.any(X == POISON):
-            os.kill(os.getpid(), signal.SIGKILL)
-        return np.abs(X).sum(axis=1)
-
-
 def clean_rows(seed, n):
     rng = np.random.default_rng(seed)
     return rng.uniform(1.0, 9.0, size=(n, 1))
 
 
-def make_router(backend, doomed_detector):
-    router = StreamRouter(window=4, min_points=2, drain_backend=backend,
-                          workers=2)
-    # Distinct instances: two shard groups, so the process backend can
-    # land them on different workers and prove isolation between slots.
+def make_router():
+    router = StreamRouter(window=4, min_points=2)
+    # Distinct instances: two shard groups, scored one after the other.
     router.add_stream("healthy", TripwireDetector())
-    router.add_stream("doomed", doomed_detector)
+    router.add_stream("doomed", TripwireDetector())
     return router
 
 
@@ -76,158 +53,81 @@ def total_counts(router):
             for sid, entry in per_stream.items()}
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
-def test_scoring_fault_is_isolated_requeued_and_recovered(backend):
+def test_scoring_fault_is_isolated_requeued_and_recovered():
     healthy_rows = clean_rows(0, 7)
     doomed_rows = clean_rows(1, 6)
-    router = make_router(backend, TripwireDetector())
-    try:
-        # Warm both streams past min_points.
-        router.submit_many("healthy", healthy_rows[:3])
-        router.submit_many("doomed", doomed_rows[:2])
-        first = router.drain()
-        assert set(first) == {"healthy", "doomed"}
+    router = make_router()
+    # Warm both streams past min_points.
+    router.submit_many("healthy", healthy_rows[:3])
+    router.submit_many("doomed", doomed_rows[:2])
+    first = router.drain()
+    assert set(first) == {"healthy", "doomed"}
 
-        # Poison the doomed stream; the healthy one keeps scoring.
-        router.submit_many("doomed", np.array([[POISON]]))
-        router.submit_many("healthy", healthy_rows[3:5])
-        with pytest.raises(DrainError) as excinfo:
-            router.drain()
-        err = excinfo.value
-        assert set(err.failures) == {"doomed"}
-        assert "tripwire" in str(err.failures["doomed"])
-        assert set(err.results) == {"healthy"}
-        assert err.results["healthy"].shape == (2,)
+    # Poison the doomed stream; the healthy one keeps scoring.
+    router.submit_many("doomed", np.array([[POISON]]))
+    router.submit_many("healthy", healthy_rows[3:5])
+    with pytest.raises(DrainError) as excinfo:
+        router.drain()
+    err = excinfo.value
+    assert set(err.failures) == {"doomed"}
+    assert "tripwire" in str(err.failures["doomed"])
+    assert set(err.results) == {"healthy"}
+    assert err.results["healthy"].shape == (2,)
 
-        # The poison was re-queued, not ingested: counters untouched,
-        # and a second drain trips identically (no duplication either).
-        stats = router.stats()
-        assert stats["queue_depth"] == 1
-        assert stats["per_stream"]["doomed"]["scored"] == 2
-        assert stats["per_stream"]["doomed"]["submitted"] == 3
-        with pytest.raises(DrainError):
-            router.drain()
-        assert router.stats()["per_stream"]["doomed"]["scored"] == 2
+    # The poison was re-queued, not ingested: counters untouched,
+    # and a second drain trips identically (no duplication either).
+    stats = router.stats()
+    assert stats["queue_depth"] == 1
+    assert stats["per_stream"]["doomed"]["scored"] == 2
+    assert stats["per_stream"]["doomed"]["submitted"] == 3
+    with pytest.raises(DrainError):
+        router.drain()
+    assert router.stats()["per_stream"]["doomed"]["scored"] == 2
 
-        # Recovery: four clean rows push the poison out of the window=4
-        # ring, so the re-queued arrival finally drains.  Evicted rows
-        # score 0.0 by the chunk>window contract.
-        router.submit_many("doomed", doomed_rows[2:6])
-        recovered = router.drain()
-        assert recovered["doomed"].shape == (5,)
-        assert recovered["doomed"][0] == 0.0
-        assert np.array_equal(recovered["doomed"][1:],
-                              np.abs(doomed_rows[2:6]).sum(axis=1))
+    # Recovery: four clean rows push the poison out of the window=4
+    # ring, so the re-queued arrival finally drains.  Evicted rows
+    # score 0.0 by the chunk>window contract.
+    router.submit_many("doomed", doomed_rows[2:6])
+    recovered = router.drain()
+    assert recovered["doomed"].shape == (5,)
+    assert recovered["doomed"][0] == 0.0
+    assert np.array_equal(recovered["doomed"][1:],
+                          np.abs(doomed_rows[2:6]).sum(axis=1))
 
-        # Zero lost, zero duplicated: every submitted arrival was scored
-        # exactly once on both streams.
-        assert total_counts(router) == {"healthy": (5, 5), "doomed": (7, 7)}
-        assert router.stats()["queue_depth"] == 0
+    # Zero lost, zero duplicated: every submitted arrival was scored
+    # exactly once on both streams.
+    assert total_counts(router) == {"healthy": (5, 5), "doomed": (7, 7)}
+    assert router.stats()["queue_depth"] == 0
 
-        # The healthy stream never noticed: its scores match an
-        # uninterrupted solo run fed the same arrivals.
-        solo = StreamRouter(TripwireDetector(), window=4, min_points=2)
-        solo.submit_many("healthy", healthy_rows[:3])
-        expected_first = solo.drain()["healthy"]
-        solo.submit_many("healthy", healthy_rows[3:5])
-        expected_second = solo.drain()["healthy"]
-        assert np.array_equal(first["healthy"], expected_first)
-        assert np.array_equal(err.results["healthy"], expected_second)
-    finally:
-        router.close()
+    # The healthy stream never noticed: its scores match an
+    # uninterrupted solo run fed the same arrivals.
+    solo = StreamRouter(TripwireDetector(), window=4, min_points=2)
+    solo.submit_many("healthy", healthy_rows[:3])
+    expected_first = solo.drain()["healthy"]
+    solo.submit_many("healthy", healthy_rows[3:5])
+    expected_second = solo.drain()["healthy"]
+    assert np.array_equal(first["healthy"], expected_first)
+    assert np.array_equal(err.results["healthy"], expected_second)
 
 
-@pytest.mark.parametrize("backend", ["serial", "threaded", "process"])
-def test_fault_during_warmup_chunk_rolls_back_cleanly(backend):
+def test_fault_during_warmup_chunk_rolls_back_cleanly():
     """A chunk that fails mid-protocol must not leave partial state: the
     retry (after recovery is possible) scores as if the fault never ran."""
     rows = clean_rows(2, 4)
-    router = make_router(backend, TripwireDetector())
-    try:
-        # Poison arrives inside the very first chunk for "doomed".
-        chunk = np.vstack([rows[:1], [[POISON]]])
-        router.submit_many("doomed", chunk)
-        router.submit_many("healthy", rows[:3])
-        with pytest.raises(DrainError) as excinfo:
-            router.drain()
-        assert set(excinfo.value.failures) == {"doomed"}
-        # Both rows of the failed chunk are back in the queue, in order.
-        assert router.stats()["queue_depth"] == 2
-        assert router.stats()["per_stream"]["doomed"]["scored"] == 0
-
-        # Flush the poison out of the window and drain everything.
-        router.submit_many("doomed", rows)
-        recovered = router.drain()
-        assert recovered["doomed"].shape == (6,)
-        assert total_counts(router)["doomed"] == (6, 6)
-    finally:
-        router.close()
-
-
-def test_worker_sigkill_is_isolated_and_slot_respawned():
-    """Process backend only: a SIGKILLed worker surfaces WorkerCrashError
-    for its group, healthy groups still score, the slot respawns, and the
-    re-queued arrivals replay with nothing lost or duplicated."""
-    healthy_rows = clean_rows(3, 7)
-    doomed_rows = clean_rows(4, 6)
-    router = make_router("process", KamikazeDetector())
-    try:
-        router.submit_many("healthy", healthy_rows[:3])
-        router.submit_many("doomed", doomed_rows[:2])
-        first = router.drain()
-        assert set(first) == {"healthy", "doomed"}
-        pool = router._procs
-        pids_before = sorted(worker.proc.pid for worker in pool._workers)
-
-        router.submit_many("doomed", np.array([[POISON]]))
-        router.submit_many("healthy", healthy_rows[3:5])
-        with pytest.raises(DrainError) as excinfo:
-            router.drain()
-        err = excinfo.value
-        assert isinstance(err.failures["doomed"], WorkerCrashError)
-        assert np.array_equal(err.results["healthy"],
-                              np.abs(healthy_rows[3:5]).sum(axis=1))
-
-        # The dead slot was respawned: two live workers again, and the
-        # killed pid is gone from the pool.
-        pids_after = sorted(worker.proc.pid for worker in pool._workers)
-        assert len(pids_after) == 2
-        assert all(worker.proc.is_alive() for worker in pool._workers)
-        assert pids_before != pids_after
-
-        # Parent state is authoritative: the crashed drain ingested
-        # nothing, so the poison is still queued and counters are intact.
-        stats = router.stats()
-        assert stats["queue_depth"] == 1
-        assert stats["per_stream"]["doomed"]["scored"] == 2
-
-        # Recovery on the fresh worker, poison evicted from the window.
-        router.submit_many("doomed", doomed_rows[2:6])
-        recovered = router.drain()
-        assert recovered["doomed"].shape == (5,)
-        assert recovered["doomed"][0] == 0.0
-        assert total_counts(router) == {"healthy": (5, 5), "doomed": (7, 7)}
-    finally:
-        router.close()
-
-
-def test_repeated_worker_crashes_do_not_exhaust_the_pool():
-    """Every crash respawns: three poison drains in a row still leave a
-    healthy pool that scores the eventual clean burst."""
-    rows = clean_rows(5, 6)
-    router = make_router("process", KamikazeDetector())
-    try:
-        router.submit_many("doomed", rows[:2])
+    router = make_router()
+    # Poison arrives inside the very first chunk for "doomed".
+    chunk = np.vstack([rows[:1], [[POISON]]])
+    router.submit_many("doomed", chunk)
+    router.submit_many("healthy", rows[:3])
+    with pytest.raises(DrainError) as excinfo:
         router.drain()
-        router.submit_many("doomed", np.array([[POISON]]))
-        for __ in range(3):
-            with pytest.raises(DrainError) as excinfo:
-                router.drain()
-            assert isinstance(excinfo.value.failures["doomed"],
-                              WorkerCrashError)
-        router.submit_many("doomed", rows[2:6])
-        recovered = router.drain()
-        assert recovered["doomed"].shape == (5,)
-        assert total_counts(router)["doomed"] == (7, 7)
-    finally:
-        router.close()
+    assert set(excinfo.value.failures) == {"doomed"}
+    # Both rows of the failed chunk are back in the queue, in order.
+    assert router.stats()["queue_depth"] == 2
+    assert router.stats()["per_stream"]["doomed"]["scored"] == 0
+
+    # Flush the poison out of the window and drain everything.
+    router.submit_many("doomed", rows)
+    recovered = router.drain()
+    assert recovered["doomed"].shape == (6,)
+    assert total_counts(router)["doomed"] == (6, 6)

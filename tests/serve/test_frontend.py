@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.serve import (
-    DrainError,
     FrontendEngine,
     HttpFrontend,
     StreamRouter,
@@ -159,7 +158,6 @@ def tcp_frontend():
     frontend = TcpFrontend(engine, port=0).start()
     yield frontend
     frontend.stop()
-    engine.router.close()
 
 
 def test_tcp_round_trip_scores_own_submissions(tcp_frontend):
@@ -201,12 +199,37 @@ def test_tcp_malformed_lines_get_err_replies_not_disconnects(tcp_frontend):
         client.close()
 
 
+def test_tcp_non_finite_value_is_an_err_reply_not_a_poisoned_window(
+        tcp_frontend):
+    client = LineClient(tcp_frontend.address)
+    try:
+        client.send("s,1.0")
+        client.send("s,nan")
+        assert "must be finite" in client.readline()
+        client.send("s,-inf")
+        assert "must be finite" in client.readline()
+        client.send("s,2.0")
+        client.send("?drain")
+        assert client.readline() == "s,0,1"
+        assert client.readline() == "s,1,2"
+        assert client.readline() == "OK"
+        client.send("?stats")
+        stats = json.loads(client.readline())
+        assert stats["frontend"]["errors"] == {"s": 2}
+        assert stats["per_stream"]["s"]["submitted"] == 2
+    finally:
+        client.close()
+
+
 def test_tcp_second_client_never_sees_first_clients_scores(tcp_frontend):
     one = LineClient(tcp_frontend.address)
     two = LineClient(tcp_frontend.address)
     try:
         one.send("s,1.0")
         one.send("s,2.0")
+        # Each connection has its own server thread: without this wait,
+        # two's row may be queued first and take index 0.
+        wait_pending(tcp_frontend.engine, 2)
         two.send("s,3.0")
         wait_pending(tcp_frontend.engine, 3)
         one.send("?drain")
@@ -254,7 +277,6 @@ def http_frontend():
     frontend = HttpFrontend(engine, port=0).start()
     yield frontend
     frontend.stop()
-    engine.router.close()
 
 
 def http_post(address, path, body, headers=None):
@@ -302,6 +324,59 @@ def test_http_submit_batch_returns_scores_and_per_arrival_errors(
     assert stats["frontend"]["error_total"] == 2
 
 
+def test_http_non_finite_values_are_per_arrival_errors(http_frontend):
+    # json.dumps writes NaN/Infinity literals and the server's json.loads
+    # accepts them, so they reach the router as floats.
+    body = json.dumps({"arrivals": [
+        {"stream": "s", "values": [1.0]},
+        {"stream": "s", "values": [float("nan")]},
+        {"stream": "s", "values": [float("inf")]},
+        {"stream": "s", "values": [2.0]},
+    ]}).encode()
+    assert b"NaN" in body
+    status, reply = http_post(http_frontend.address, "/submit", body)
+    assert status == 200
+    assert reply["accepted"] == 2
+    assert [error["arrival"] for error in reply["errors"]] == [1, 2]
+    assert reply["scores"] == [
+        {"stream": "s", "index": 0, "score": 1.0},
+        {"stream": "s", "index": 1, "score": 2.0},
+    ]
+    body = json.dumps({"arrivals": [{"stream": "s", "values": [3.0]}]})
+    __, reply = http_post(http_frontend.address, "/submit", body.encode())
+    assert reply["scores"] == [{"stream": "s", "index": 2, "score": 3.0}]
+    assert http_frontend.engine.stats()["frontend"]["errors"] == {"s": 2}
+
+
+def raw_post(address, content_length, body=b""):
+    """POST /submit with a hand-written Content-Length; (status, reply)."""
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(b"POST /submit HTTP/1.1\r\nHost: x\r\n"
+                     b"Content-Length: " + content_length.encode()
+                     + b"\r\n\r\n" + body)
+        reader = sock.makefile("rb")
+        status = int(reader.readline().split()[1])
+        while reader.readline() not in (b"\r\n", b""):
+            pass
+        return status, json.loads(reader.read())
+
+
+def test_http_bad_content_length_is_refused_without_reading_the_body(
+        http_frontend):
+    from repro.serve.frontend import MAX_BODY_BYTES
+
+    # Reading a negative length means reading to EOF, which never comes
+    # while the client keeps its write side open: no reply, a parked thread.
+    status, reply = raw_post(http_frontend.address, "-1", b"{}")
+    assert status == 400 and "Content-Length" in reply["error"]
+    status, __ = raw_post(http_frontend.address, "lots")
+    assert status == 400
+    status, reply = raw_post(http_frontend.address, str(MAX_BODY_BYTES + 1))
+    assert status == 413 and "limit" in reply["error"]
+    status, __ = http_get(http_frontend.address, "/stats")
+    assert status == 200
+
+
 def test_http_drain_false_defers_scoring_to_a_later_drain(http_frontend):
     body = json.dumps({"arrivals": [{"stream": "s", "values": [1.0]}],
                        "drain": False}).encode()
@@ -326,6 +401,9 @@ def test_http_invalid_json_and_unknown_paths(http_frontend):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         http_post(http_frontend.address, "/submit",
                   json.dumps({"rows": []}).encode())
+    assert excinfo.value.code == 400
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        http_post(http_frontend.address, "/submit", b"[]")
     assert excinfo.value.code == 400
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         http_get(http_frontend.address, "/nope")
@@ -359,4 +437,3 @@ def test_http_and_tcp_share_one_engine_and_stream_indices():
         client.close()
         http.stop()
         tcp.stop()
-        engine.router.close()

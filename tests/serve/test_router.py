@@ -203,6 +203,23 @@ def test_drain_isolates_faulty_shards(fitted_rae):
     assert stats["per_stream"]["ok"]["scored"] == 1
 
 
+def test_non_finite_arrivals_are_rejected_before_queueing(fitted_rae):
+    """NaN/inf would poison a stream's window (every score NaN until it
+    ages out) without any counter noticing; submit refuses them."""
+    router = StreamRouter(fitted_rae, window=32)
+    router.submit_many("s", make_series(1)[:8])
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            router.submit("s", bad)
+    with pytest.raises(ValueError, match="finite"):
+        router.submit_many("s", [[0.1], [np.nan], [0.2]])
+    stats = router.stream_stats("s")
+    assert stats["submitted"] == 8 and stats["lag"] == 8
+    router.submit_many("s", make_series(2)[:4])
+    scores = router.drain()["s"]
+    assert scores.shape == (12,) and np.isfinite(scores).all()
+
+
 def test_queue_overflow_error_policy(fitted_rae):
     router = StreamRouter(fitted_rae, window=32, queue_limit=5)
     for i in range(5):
@@ -257,70 +274,7 @@ def test_stats_surface(fitted_rae, live_streams):
     assert per["lag"] == 5 and per["scored"] == 20 and per["total"] == 20
 
 
-# ------------------- drain backends & concurrency contract -------------- #
-
-def test_drain_backend_validation(fitted_rae):
-    with pytest.raises(ValueError):
-        StreamRouter(fitted_rae, drain_backend="bogus")
-    assert StreamRouter(fitted_rae).drain_backend == "serial"
-    # workers > 1 implies the threaded backend when none is named.
-    router = StreamRouter(fitted_rae, workers=4)
-    assert router.drain_backend == "threaded" and router.workers == 4
-    assert StreamRouter(fitted_rae, workers=1).drain_backend == "serial"
-    explicit = StreamRouter(fitted_rae, drain_backend="threaded")
-    assert explicit.workers == 4  # sensible pool default
-    explicit.close()
-
-
-def test_threaded_drain_matches_serial_bitwise():
-    """The backend changes where forwards run, never what they compute —
-    including across independent per-stream detectors (separate groups)
-    and the shared-detector grouped-forward path."""
-    detectors = [RAE(max_iterations=2, kernels=8, num_layers=2,
-                     seed=i).fit(make_series(i)) for i in range(3)]
-    shared = detectors[0]
-
-    def build(**kwargs):
-        router = StreamRouter(shared, window=40, **kwargs)
-        for i, det in enumerate(detectors):
-            router.add_stream(f"own{i}", detector=det)
-        for i in range(3):
-            router.add_stream(f"shared{i}")
-        return router
-
-    serial = build()
-    threaded = build(drain_backend="threaded", workers=3)
-    try:
-        for step in range(8):
-            for router in (serial, threaded):
-                for i in range(3):
-                    router.submit(f"own{i}", make_series(50 + i)[step])
-                    router.submit(f"shared{i}", make_series(60 + i)[step])
-            expected, got = serial.drain(), threaded.drain()
-            assert set(expected) == set(got)
-            for sid in expected:
-                assert np.array_equal(expected[sid], got[sid])
-    finally:
-        threaded.close()
-    assert serial.stats()["scored"] == threaded.stats()["scored"]
-
-
-def test_threaded_drain_isolates_faulty_shards(fitted_rae):
-    """DrainError semantics survive the threaded backend: healthy groups
-    score, the faulty stream's arrivals re-queue."""
-    router = StreamRouter(fitted_rae, window=32,
-                          drain_backend="threaded", workers=2)
-    router.add_stream("bad", detector=RAE())  # unfitted -> ingest fails
-    try:
-        router.submit("ok", [0.5]).submit("bad", [0.5]).submit("ok", [0.7])
-        with pytest.raises(DrainError) as excinfo:
-            router.drain()
-        assert set(excinfo.value.results) == {"ok"}
-        assert set(excinfo.value.failures) == {"bad"}
-        assert router.stats()["queue_depth"] == 1  # re-queued arrival
-    finally:
-        router.close()
-
+# ------------------------- concurrency contract ------------------------- #
 
 def test_concurrent_submits_never_lose_arrivals(fitted_rae):
     """submit()/submit_many() are thread-safe: racing producers must land

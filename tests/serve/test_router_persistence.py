@@ -3,6 +3,8 @@ that never restarted — same per-stream scores on the same replayed
 arrivals, same stats, same queue. (The ROADMAP's persistence-backed shard
 recovery item.)"""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -190,33 +192,56 @@ def test_router_accepts_specs(history):
     assert scores.shape == (30,)
 
 
-def test_restore_carries_drain_backend_and_cache(fitted_rae, history,
-                                                 tmp_path):
-    """The execution config and each session's tail-forward splice cache
-    survive the round trip: a restored shard resumes bounded pushes
-    immediately, scoring subsequent arrivals bit-identically."""
-    router = StreamRouter(fitted_rae, window=48,
-                          drain_backend="threaded", workers=3)
+def test_restore_carries_splice_cache(fitted_rae, history, tmp_path):
+    """Each session's tail-forward splice cache survives the round trip: a
+    restored shard resumes bounded pushes immediately, scoring subsequent
+    arrivals bit-identically."""
+    router = StreamRouter(fitted_rae, window=48)
     _feed(router, {"a": history[:60], "b": history[60:120]})
     router.save(tmp_path / "state")
-    router.close()
 
     restored = StreamRouter.restore(tmp_path / "state")
-    try:
-        assert restored.drain_backend == "threaded" and restored.workers == 3
-        for sid in ("a", "b"):
-            live_session = router.stream(sid)._session
-            back_session = restored.stream(sid)._session
-            assert back_session._cache_total == live_session._cache_total
-            assert np.array_equal(back_session._cache_scores,
-                                  live_session._cache_scores)
-        live = _feed(router, {"a": history[120:125], "b": history[125:130]})
-        back = _feed(restored, {"a": history[120:125], "b": history[125:130]})
-        for sid in live:
-            assert np.array_equal(live[sid], back[sid])
-        # Execution knobs are overridable at restore time.
-        serial = StreamRouter.restore(tmp_path / "state",
-                                      drain_backend="serial", workers=1)
-        assert serial.drain_backend == "serial"
-    finally:
-        restored.close()
+    for sid in ("a", "b"):
+        live_session = router.stream(sid)._session
+        back_session = restored.stream(sid)._session
+        assert back_session._cache_total == live_session._cache_total
+        assert np.array_equal(back_session._cache_scores,
+                              live_session._cache_scores)
+    live = _feed(router, {"a": history[120:125], "b": history[125:130]})
+    back = _feed(restored, {"a": history[120:125], "b": history[125:130]})
+    for sid in live:
+        assert np.array_equal(live[sid], back[sid])
+
+
+def test_restore_ignores_saved_parallel_drain_backend(fitted_rae, history,
+                                                      tmp_path):
+    """Routers saved while parallel drain backends existed carry their
+    execution config; restore must ignore it, drain serially and score
+    bit-identically to a never-restarted router."""
+    live = StreamRouter(fitted_rae, window=48)
+    _feed(live, {"a": history[:60], "b": history[60:120]})
+    live.submit_many("a", history[120:123])  # still queued at save time
+    state = tmp_path / "state"
+    live.save(state)
+    manifest_path = state / "router.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["config"].update({"drain_backend": "process", "workers": 2})
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+    restored = StreamRouter.restore(state)
+    assert restored.stats() == live.stats()
+    for step in range(3):
+        chunk = {"a": history[130 + 4 * step:134 + 4 * step],
+                 "b": history[160 + 4 * step:164 + 4 * step]}
+        expected, got = _feed(live, chunk), _feed(restored, chunk)
+        assert list(expected) == list(got)
+        for sid in expected:
+            assert np.array_equal(expected[sid], got[sid])
+    # Everything but the program cache, whose programs recompile once.
+    after, reference = restored.stats(), live.stats()
+    del after["program_cache"], reference["program_cache"]
+    assert after == reference
+    # A re-save writes the current, backend-free config.
+    restored.save(tmp_path / "resaved")
+    config = json.loads((tmp_path / "resaved" / "router.json").read_text())
+    assert "drain_backend" not in config["config"]

@@ -237,6 +237,20 @@ def test_serve_writes_output_csv(serve_setup, tmp_path, capsys):
     assert len(content) == 1 + 3 * per_stream
 
 
+def test_serve_skips_non_finite_lines_like_malformed_ones(serve_setup,
+                                                         tmp_path, capsys):
+    model_path, feed_path, per_stream = serve_setup
+    lines = open(feed_path).read().splitlines()
+    noisy_feed = tmp_path / "noisy.csv"
+    noisy_feed.write_text("\n".join(
+        lines[:30] + ["web,nan", "db,inf"] + lines[30:]) + "\n")
+    assert main(["serve", "--input", str(noisy_feed), "--model",
+                 str(model_path), "--window", "32"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()]
+    assert len(rows) == 3 * per_stream
+    assert np.isfinite([float(score) for __, __i, score in rows]).all()
+
+
 def test_serve_stdin_with_trained_head(serve_setup, tmp_path, capsys,
                                        monkeypatch):
     __, feed_path, per_stream = serve_setup
@@ -574,26 +588,7 @@ def test_stream_builds_from_spec(streaming_csv, spec_path, capsys):
 
 
 # --------------------------------------------------------------------------- #
-# serve: drain backends and network frontends
-
-
-def test_serve_process_backend_matches_serial_output(serve_setup, capsys):
-    """--drain-backend process scores the feed bit-identically to serial."""
-    model_path, feed_path, per_stream = serve_setup
-    base = ["serve", "--input", str(feed_path), "--model", str(model_path),
-            "--window", "32", "--drain-every", "16"]
-    assert main(base) == 0
-    serial_out = capsys.readouterr().out
-    assert main(base + ["--drain-backend", "process", "--workers", "2"]) == 0
-    process_out = capsys.readouterr().out
-    assert process_out == serial_out
-    assert len(serial_out.splitlines()) == 3 * per_stream
-
-
-def test_serve_drain_backend_flag_is_validated():
-    with pytest.raises(SystemExit):
-        main(["serve", "--input", "-", "--method", "EMA",
-              "--drain-backend", "turbo"])
+# serve: network frontends
 
 
 def _spawn_serve(args, timeout=30.0):
@@ -642,8 +637,7 @@ def test_serve_tcp_frontend_scores_then_drains_on_sigterm(serve_setup,
     state_dir = tmp_path / "state"
     proc, banners = _spawn_serve([
         "serve", "--model", str(model_path), "--window", "32",
-        "--tcp", "0", "--drain-backend", "process", "--workers", "2",
-        "--drain-every", "4", "--state-dir", str(state_dir),
+        "--tcp", "0", "--drain-every", "4", "--state-dir", str(state_dir),
     ])
     try:
         port = _banner_port(banners, "TCP line protocol")
@@ -669,13 +663,11 @@ def test_serve_tcp_frontend_scores_then_drains_on_sigterm(serve_setup,
         raise
     assert proc.returncode == 0
     assert "saved router state" in err
-    # The SIGTERM shutdown persisted the router with its backend choice.
+    # The SIGTERM shutdown persisted the router.
     from repro.serve import StreamRouter
 
     restored = StreamRouter.restore(state_dir)
-    assert restored.drain_backend == "process"
     assert restored.stats()["per_stream"]["web"]["scored"] == 4
-    restored.close()
 
 
 def test_serve_http_frontend_round_trip(serve_setup):

@@ -1,7 +1,6 @@
 """Text visualisation helpers."""
 
 import numpy as np
-import pytest
 
 from repro.viz import render_decomposition, score_strip, sparkline
 
