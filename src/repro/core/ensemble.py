@@ -182,8 +182,14 @@ class RobustEnsemble(BaseDetector):
             member._build(arr.shape[1], np.random.default_rng(member.seed))
             for member in members
         ]
-        bmodel = nnb.BatchedConvSeriesAE(models)
+        bmodel = nnb.stack_modules(models)
         optimizer = nn.Adam(bmodel.parameters(), lr=spec.lr)
+
+        def snapshot(i):
+            # Copies of member i's parameter slices, in its
+            # named_parameters order.
+            return [p.data[i].copy() for p in bmodel.parameters()]
+
         n_group = len(members)
         stacked = np.empty((n_group, arr.shape[1], arr.shape[0]))
 
@@ -222,13 +228,13 @@ class RobustEnsemble(BaseDetector):
             for i in active:
                 members[i].epoch_seconds_.append(elapsed)
             for i in converged:
-                frozen[i] = bmodel.snapshot_member(i)
+                frozen[i] = snapshot(i)
                 active.remove(i)
             if not active:
                 break
 
         for i, member in enumerate(members):
-            arrays = frozen[i] if i in frozen else bmodel.snapshot_member(i)
+            arrays = frozen[i] if i in frozen else snapshot(i)
             model = models[i]
             for (__, param), data in zip(model.named_parameters(), arrays):
                 param.data = data

@@ -28,19 +28,20 @@ Tail forwards and their bit-identity rest on two facts established at the
 independent of the forwarded length (so a slice forward reproduces the
 full forward's bits away from the slice's padded left edge).
 
-The compiled inference path (this PR) removes the remaining per-forward
-overhead.  :func:`architecture_fingerprint` gives every fitted detector a
-stable structural key, so :func:`batched_session_scores` groups slices by
+The compiled inference path removes the remaining per-forward overhead.
+:func:`architecture_fingerprint` gives every fitted detector a stable
+structural key, so :func:`batched_session_scores` groups slices by
 *architecture* instead of detector identity — S same-spec shards, each
 with its own weights, share one forward.  :class:`InferencePrograms` is
-the program cache that executes those groups: solo-module groups replay a
-grad-free :class:`repro.nn.tape.ScoreTape`, mixed-detector groups replay a
-:class:`repro.nn.batched.StackedScoreProgram` with the member weights
-stacked along a leading axis.  Both replay the serving kernels'
-length-stable arithmetic exactly, so compiled scores are bit-identical to
-the eager drain; any group the cache declines (unsupported architecture,
-``REPRO_EAGER``, poisoned recording) falls back to eager forwards
-partitioned per detector.
+the program cache that executes those groups, always through a grad-free
+:class:`repro.nn.tape.ScoreTape`: solo-module groups replay the module's
+own tape; mixed-detector groups replay a
+:class:`repro.nn.batched.StackedScoreProgram`, a tape recorded over one
+module whose conv weights stack the members' along a leading member axis.
+Both replay the serving kernels' length-stable arithmetic exactly, so
+compiled scores are bit-identical to the eager drain; any group the cache
+declines (members that do not stack, ``REPRO_EAGER``, poisoned recording)
+falls back to eager forwards partitioned per detector.
 """
 
 from __future__ import annotations
@@ -220,7 +221,7 @@ class InferencePrograms:
     One instance is shared by every shard of a router — solo slice
     forwards replay grad-free :func:`repro.nn.tape.score_tape` recordings,
     and cross-detector groups replay
-    :class:`repro.nn.batched.StackedScoreProgram` pipelines cached by
+    :class:`repro.nn.batched.StackedScoreProgram` tapes cached by
     ``(architecture fingerprint, stacked input shape)``.  ``hits`` /
     ``misses`` / ``invalidations`` count cache events for
     ``StreamRouter.stats()``; an invalidation means a member's parameter
@@ -279,10 +280,10 @@ class InferencePrograms:
     # -- program lookup ------------------------------------------------- #
     def _stacked_program(self, fingerprint, modules, shape):
         """The cached stacked program for this group, refreshed/rebuilt as
-        needed; None when the group cannot compile (cached so repeated
-        drains of an unstackable group pay one plan walk, not one per
-        drain — the member token keys the verdict, so a weight hot-swap
-        retries)."""
+        needed; None when the members do not stack (cached so repeated
+        drains of an unstackable group pay one ``stack_modules`` attempt,
+        not one per drain — the member token keys the verdict, so a weight
+        hot-swap retries)."""
         key = (fingerprint, shape)
         token = nn_batched.stacked_member_token(modules)
         with self._lock:
@@ -301,15 +302,13 @@ class InferencePrograms:
         if program is not None:
             try:
                 program.refresh(modules)
-            except Exception:  # noqa: BLE001 - shape drift; rebuild below
+            except ValueError:  # structure drift; rebuild below
                 program = None
         if program is None:
-            plan = nn_batched.stacked_score_plan(modules)
-            if plan is not None:
-                try:
-                    program = nn_batched.StackedScoreProgram(plan, shape)
-                except Exception:  # noqa: BLE001 - unbuildable at this shape
-                    program = None
+            try:
+                program = nn_batched.StackedScoreProgram(modules, shape)
+            except ValueError:  # the members do not stack
+                program = None
         with self._lock:
             if len(self._stacked) >= self._MAX_STACKED:
                 self._stacked.pop(next(iter(self._stacked)))

@@ -145,22 +145,38 @@ def conv1d(x, weight, bias=None, padding=0):
     Parameters
     ----------
     x: Tensor ``(N, C_in, L)``
-    weight: Tensor ``(C_out, C_in, K)``
-    bias: optional Tensor ``(C_out,)``
+    weight: Tensor ``(C_out, C_in, K)``, or ``(M, C_out, C_in, K)`` with a
+        leading member axis: row ``m`` of ``x`` (``N == M``) is convolved
+        with member ``m``'s kernel.
+    bias: optional Tensor ``(C_out,)``, or ``(M, C_out)`` with a member axis.
     padding: symmetric zero padding on the length axis.
+
+    With a member axis, output slice ``m`` is bit-identical to
+    ``conv1d(x[m:m+1], weight[m], bias[m])`` on both kernel paths: the
+    per-tap GEMMs batch over members (``np.matmul`` computes each slice of
+    a stacked product exactly like the 2D product), the stable path's
+    per-position channel dot becomes ``einsum("mfc,mcl->mfl")``, and the
+    single-channel branches run their serial form per slice.  This is how
+    stacked ensemble members train and stacked detectors score (see
+    :mod:`repro.nn.batched`).
     """
     x = pad1d(as_tensor(x), padding)
     weight = as_tensor(weight)
     if bias is not None:
         bias = as_tensor(bias)
     n, c_in, length = x.shape
-    c_out, c_in_w, k = weight.shape
+    c_out, c_in_w, k = weight.shape[-3:]
+    members = weight.ndim == 4
+    if members and weight.shape[0] != n:
+        raise ValueError("member mismatch: %d input rows vs %d kernels"
+                         % (n, weight.shape[0]))
     if c_in != c_in_w:
         raise ValueError("channel mismatch: %d vs %d" % (c_in, c_in_w))
     if length < k:
         raise ValueError("input length %d shorter than kernel %d" % (length, k))
     l_out = length - k + 1
     stable = stable_kernels_active()
+    spec = "mfc,mcl->mfl" if members else "fc,ncl->nfl"
     scratch = [None]
 
     def forward(out=None):
@@ -181,56 +197,59 @@ def conv1d(x, weight, bias=None, padding=0):
             # and bit-equal to the previous tap-by-tap sum.
             if out is None:
                 out = np.empty((n, c_out, l_out))
-            if c_in == 1:
-                np.multiply(x.data[:, :, 0:l_out],
-                            weight.data[:, 0, 0][None, :, None], out=out)
-            else:
-                np.einsum("fc,ncl->nfl", weight.data[:, :, 0],
-                          x.data[:, :, 0:l_out], optimize=False, out=out)
             tmp = scratch[0]
             if k > 1 and (tmp is None or tmp.shape != out.shape):
                 tmp = scratch[0] = np.empty_like(out)
-            for tap in range(1, k):
+            for tap in range(k):
+                dest = out if tap == 0 else tmp
                 if c_in == 1:
                     np.multiply(x.data[:, :, tap : tap + l_out],
-                                weight.data[:, 0, tap][None, :, None],
-                                out=tmp)
+                                weight.data[..., 0, tap][..., None], out=dest)
                 else:
-                    np.einsum("fc,ncl->nfl", weight.data[:, :, tap],
+                    np.einsum(spec, weight.data[..., tap],
                               x.data[:, :, tap : tap + l_out],
-                              optimize=False, out=tmp)
-                np.add(out, tmp, out=out)
+                              optimize=False, out=dest)
+                if tap:
+                    np.add(out, tmp, out=out)
             if bias is not None:
-                out += bias.data[None, :, None]
+                out += bias.data[..., None]
             return out
         if c_in == 1:
             # Degenerate GEMM (inner dimension 1) is an outer product BLAS
             # handles poorly; the im2col einsum's broadcast path is ~7x
-            # faster for single-channel inputs.
+            # faster for single-channel inputs.  With a member axis it runs
+            # per member slice, so each slice keeps the serial bits.
             cols = sliding_window_view(x.data, k, axis=2)
-            result = np.einsum(  # repro: lint-ok[einsum-order] eager-only branch: stable=True takes the fixed-order tap loop above, so this never runs under stable_kernels()
-                "nclk,fck->nfl", cols, weight.data,
-                optimize=True, out=out)
+            if not members:
+                result = np.einsum(  # repro: lint-ok[einsum-order] eager-only branch: stable=True takes the fixed-order tap loop above, so this never runs under stable_kernels()
+                    "nclk,fck->nfl", cols, weight.data,
+                    optimize=True, out=out)
+            else:
+                result = np.empty((n, c_out, l_out)) if out is None else out
+                for i in range(n):
+                    np.einsum(  # repro: lint-ok[einsum-order] eager-only branch, per member slice of the einsum above
+                        "nclk,fck->nfl", cols[i : i + 1], weight.data[i],
+                        optimize=True, out=result[i : i + 1])
             if bias is not None:
-                result += bias.data[None, :, None]
+                result += bias.data[..., None]
             return result
         # Per-tap GEMM: (C_out, C_in) @ (C_in, L_out) on strided views of x
         # (BLAS handles the leading-dimension stride, no im2col copy),
         # accumulated in fixed tap order.
         if out is None:
-            result = np.matmul(weight.data[:, :, 0], x.data[:, :, 0:l_out])
+            result = np.matmul(weight.data[..., 0], x.data[:, :, 0:l_out])
         else:
-            result = np.matmul(weight.data[:, :, 0], x.data[:, :, 0:l_out],
+            result = np.matmul(weight.data[..., 0], x.data[:, :, 0:l_out],
                                out=out)
         tmp = scratch[0]
         if tmp is None or tmp.shape != result.shape:
             tmp = scratch[0] = np.empty_like(result)
         for tap in range(1, k):
-            np.matmul(weight.data[:, :, tap], x.data[:, :, tap : tap + l_out],
+            np.matmul(weight.data[..., tap], x.data[:, :, tap : tap + l_out],
                       out=tmp)
             np.add(result, tmp, out=result)
         if bias is not None:
-            result += bias.data[None, :, None]
+            result += bias.data[..., None]
         return result
 
     parents = (x, weight) if bias is None else (x, weight, bias)
@@ -246,7 +265,10 @@ def conv1d(x, weight, bias=None, padding=0):
             gw = np.empty_like(weight.data)
             for tap in range(k):
                 xt = x.data[:, :, tap : tap + l_out]
-                if n > 1:
+                if members:
+                    # Slice m: grad[m] @ xt[m].T, the single-row branch.
+                    np.matmul(grad, xt.transpose(0, 2, 1), out=gw[..., tap])
+                elif n > 1:
                     np.einsum(  # repro: lint-ok[einsum-order] backward-only: stable_kernels() bit-equality is a forward contract, gradients tolerate order drift
                         "nfl,ncl->fc", grad, xt, optimize=True,
                         out=gw[:, :, tap])
@@ -254,7 +276,7 @@ def conv1d(x, weight, bias=None, padding=0):
                     np.matmul(grad[0], xt[0].T, out=gw[:, :, tap])
             weight._accumulate_owned(gw)
         if bias is not None and bias.requires_grad:
-            bias._accumulate(grad.sum(axis=(0, 2)))
+            bias._accumulate(grad.sum(axis=2 if members else (0, 2)))
         if x.requires_grad:
             gx = gx_buf[0]
             if gx is None or gx.shape != x.data.shape:
@@ -267,7 +289,8 @@ def conv1d(x, weight, bias=None, padding=0):
             # Scatter each kernel tap back onto the input axis:
             # (C_in, C_out) @ (C_out, L_out) added into a strided slice.
             for tap in range(k):
-                np.matmul(weight.data[:, :, tap].T, grad, out=tmp)
+                np.matmul(np.swapaxes(weight.data[..., tap], -1, -2), grad,
+                          out=tmp)
                 target = gx[:, :, tap : tap + l_out]
                 np.add(target, tmp, out=target)
             # gx is this closure's scratch: untouched until the op's next

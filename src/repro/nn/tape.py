@@ -37,7 +37,7 @@ declines to tape at all under ``no_grad``, under
 structurally replayable (:func:`module_tape_safe`).  Everything declined
 falls back to eager execution, which remains the reference semantics.
 
-Inference tapes (this PR's grad-free mode).  Serving forwards run under
+Inference tapes (the grad-free mode).  Serving forwards run under
 ``no_grad`` + ``stable_kernels`` — exactly the combination
 :func:`training_tape` declines — yet they are even more replayable than
 training steps: no backward, no optimizer events, no stochastic draws.
@@ -45,8 +45,12 @@ training steps: no backward, no optimizer events, no stochastic draws.
 shape)`` and replays just the op closures with persistent output buffers;
 because recording runs *inside* ``no_grad()``/``stable_kernels()``, the
 closures bake in the length-stable serving arithmetic and replay it
-bit-identically.  :func:`score_tape` is the shape-keyed cache (invalidated
-when a parameter's backing array is hot-swapped), honouring the same
+bit-identically.  It is the one compiled inference mechanism: a solo
+module's tape comes from :func:`score_tape`, the shape-keyed per-module
+cache (invalidated when :func:`weights_token` changes, i.e. a parameter's
+backing array is hot-swapped), and a cross-detector group's from
+:class:`repro.nn.batched.StackedScoreProgram`, which records one over a
+member-stacked module.  The compiled serving path honours the same
 ``REPRO_EAGER`` opt-out as the training tape.
 """
 
@@ -77,6 +81,7 @@ __all__ = [
     "set_tape_enabled",
     "ScoreTape",
     "score_tape",
+    "weights_token",
     "release_score_tapes",
 ]
 
@@ -441,17 +446,21 @@ def release_tapes(model):
 _MAX_SCORE_TAPES_PER_MODULE = 6
 
 
-def _weights_token(module):
-    """Identity token of the arrays backing ``module``'s parameters.
+def weights_token(modules):
+    """Identity token of ``modules`` and the arrays backing their parameters.
 
     Hot-swapping a parameter's value *in place* (``np.copyto``) keeps the
-    token — the recorded closures read ``weight.data`` live, so in-place
-    swaps replay correctly without re-recording.  *Rebinding* ``.data`` to
-    a fresh array (weight hot-swap via assignment, ``load_state_dict``
-    implementations that rebind) changes the token and invalidates the
-    recording.
+    token — recorded closures read ``weight.data`` live, so in-place swaps
+    replay correctly without re-recording.  *Rebinding* ``.data`` to a
+    fresh array (weight hot-swap via assignment, ``load_state_dict``) or
+    changing the member list changes the token, which invalidates a score
+    tape's recording and refreshes a stacked program's weight copies.
     """
-    return tuple(id(p.data) for __, p in module.named_parameters())
+    return tuple(
+        (id(module),)
+        + tuple(id(p.data) for __, p in module.named_parameters())
+        for module in modules
+    )
 
 
 class ScoreTape:
@@ -472,8 +481,9 @@ class ScoreTape:
     frontend threads; replays are short, so contention is rare).
     """
 
-    def __init__(self, module):
+    def __init__(self, module, shape):
         self.module = module
+        self.shape = tuple(int(d) for d in shape)
         self.recorded = False
         self.failed = None  # reason string once poisoned
         self.replays = 0
@@ -499,9 +509,15 @@ class ScoreTape:
 
     # ------------------------------------------------------------------ #
     def run(self, array):
-        """The module's stable-forward output for ``array`` (its shape must
-        match the recording's).  Returns the persistent output buffer —
-        copy before storing it across calls."""
+        """The module's stable-forward output for ``array``.  Returns the
+        persistent output buffer — copy before storing it across calls.
+
+        Raises ``ValueError`` unless ``array.shape`` is the tape's shape:
+        copying into the recorded buffer would otherwise broadcast a
+        mis-shaped batch silently."""
+        if array.shape != self.shape:
+            raise ValueError("score tape recorded for shape %s, got %s"
+                             % (self.shape, array.shape))
         with self._lock:
             if not self.recorded:
                 return self._record(array)
@@ -519,7 +535,9 @@ class ScoreTape:
     def _record(self, array):
         # The recording run IS a normal eager serving forward — the hooks
         # only observe, so even a recording that ends up poisoned has
-        # produced the correct output for this call.
+        # produced the correct output for this call.  A recording that
+        # raised left partial ops behind; start over.
+        self._nodes, self._forwards = [], []
         self.x = Tensor(np.array(array, dtype=np.float64))
         previous = _push_tape(self)
         try:
@@ -562,7 +580,7 @@ def score_tape(module, shape):
     cache = state.get("_score_tape_cache")
     if cache is None:
         cache = state["_score_tape_cache"] = {}
-    token = _weights_token(module)
+    token = weights_token((module,))
     key = tuple(int(d) for d in shape)
     entry = cache.get(key)
     event = "hit"
@@ -575,7 +593,7 @@ def score_tape(module, shape):
             event = "miss"
         if len(cache) >= _MAX_SCORE_TAPES_PER_MODULE:
             cache.pop(next(iter(cache)))
-        entry = cache[key] = (token, ScoreTape(module))
+        entry = cache[key] = (token, ScoreTape(module, key))
     tape = entry[1]
     if tape.failed:
         return None, event

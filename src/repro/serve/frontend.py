@@ -22,7 +22,8 @@ what stands between remote producers and that queue.  The split here:
     ``stream_id,v1[,v2...]`` lines, receive ``stream,index,score`` lines
     for your own submissions; ``?stats`` returns a JSON stats document,
     ``?drain`` forces a drain; malformed lines get an ``ERR ...`` reply
-    and a per-stream error count, never a dropped connection.
+    and a per-stream error count, never a dropped connection.  Only a line
+    longer than ``MAX_LINE_BYTES`` closes its connection.
 
 :class:`HttpFrontend`
     JSON batch API: ``POST /submit`` with ``{"arrivals": [{"stream": id,
@@ -56,6 +57,12 @@ __all__ = ["FrontendEngine", "TcpFrontend", "HttpFrontend"]
 #: hundred arrivals is a few KiB; the bound only stops one request from
 #: buffering without limit.
 MAX_BODY_BYTES = 8 << 20
+
+#: Longest TCP protocol line accepted, in bytes, newline included.  A line
+#: carries one arrival; a longer one gets ``ERR line too long`` and its
+#: connection is closed, so a client that never sends a newline cannot
+#: grow server memory without bound.
+MAX_LINE_BYTES = 64 << 10
 
 
 class FrontendEngine:
@@ -282,7 +289,13 @@ class _TcpHandler(socketserver.StreamRequestHandler):
         engine.register(self, self._deliver)
         frontend._track(self)
         try:
-            for raw in self.rfile:
+            while True:
+                raw = self.rfile.readline(MAX_LINE_BYTES + 1)
+                if not raw:
+                    break
+                if len(raw) > MAX_LINE_BYTES:
+                    self._write_lines(["ERR line too long"])
+                    break
                 line = raw.decode("utf-8", "replace").strip()
                 if not line:
                     continue
@@ -294,9 +307,10 @@ class _TcpHandler(socketserver.StreamRequestHandler):
                     self._write_lines(["ERR %s" % error])
                 else:
                     engine.maybe_drain()
-            # Input exhausted (client half-closed, or a graceful stop shut
-            # our read side): score whatever this connection still has in
-            # flight and deliver it before the write side goes away.
+            # Input exhausted (client half-closed, a graceful stop shut our
+            # read side, or an overlong line): score whatever this
+            # connection still has in flight and deliver it before the
+            # write side goes away.
             engine.drain()
         finally:
             engine.unregister(self)

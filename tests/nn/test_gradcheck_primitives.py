@@ -32,21 +32,35 @@ def central_difference_check(fn, x, eps=1e-6, tol=1e-5):
     assert abs(numeric - dotted) <= tol * max(1.0, abs(numeric))
 
 
+# (batch, c_in, length, c_out, kernel, padding, bias, members); with
+# members, the weight and bias carry a leading member axis of size batch.
+CONV1D_CASES = [
+    (1, 1, 7, 1, 3, 0, True, False),    # minimal univariate stream window
+    (2, 3, 12, 4, 3, 1, True, False),
+    (1, 2, 20, 3, 5, 2, False, False),  # no-bias path
+    (3, 1, 9, 2, 7, 3, True, False),    # wide kernel on a short window
+    (2, 4, 16, 2, 1, 0, False, False),  # pointwise conv
+    (3, 2, 10, 4, 3, 1, True, True),    # member axis: row m, kernel m
+    (2, 1, 9, 3, 3, 1, True, True),     # member axis, single channel
+]
+
+
+def conv1d_case_id(case):
+    return "-".join(str(v) for v in case[:7]) + ("-members" if case[7] else "")
+
+
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 @pytest.mark.parametrize(
-    "batch,c_in,length,c_out,kernel,padding,bias",
-    [
-        (1, 1, 7, 1, 3, 0, True),     # minimal univariate stream window
-        (2, 3, 12, 4, 3, 1, True),
-        (1, 2, 20, 3, 5, 2, False),   # no-bias path
-        (3, 1, 9, 2, 7, 3, True),     # wide kernel on a short window
-        (2, 4, 16, 2, 1, 0, False),   # pointwise conv
-    ],
+    "batch,c_in,length,c_out,kernel,padding,bias,members",
+    CONV1D_CASES,
+    ids=[conv1d_case_id(case) for case in CONV1D_CASES],
 )
-def test_conv1d_gradients(dtype, batch, c_in, length, c_out, kernel, padding, bias):
+def test_conv1d_gradients(dtype, batch, c_in, length, c_out, kernel, padding,
+                          bias, members):
+    lead = (batch,) if members else ()
     x = RNG.standard_normal((batch, c_in, length)).astype(dtype)
-    w = RNG.standard_normal((c_out, c_in, kernel))
-    b = RNG.standard_normal(c_out) if bias else None
+    w = RNG.standard_normal(lead + (c_out, c_in, kernel))
+    b = RNG.standard_normal(lead + (c_out,)) if bias else None
     bt = None if b is None else nn.Tensor(b)
     central_difference_check(
         lambda t: F.conv1d(t, nn.Tensor(w), bt, padding=padding), np.float64(x)

@@ -4,7 +4,7 @@ The serving-level contract (bit-identical compiled drains) lives in
 ``tests/serve/test_compiled_drain.py``; these tests pin the building
 blocks directly: :class:`repro.nn.tape.ScoreTape` record/replay,
 shape-keyed caching with hot-swap invalidation,
-:func:`repro.nn.batched.stacked_score_plan`'s accept/decline decisions,
+:func:`repro.nn.batched.stack_modules`'s accept/decline decisions,
 and :class:`repro.nn.batched.StackedScoreProgram` replay + refresh.
 """
 
@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from repro.core import RAE
+from repro.core.autoencoders import ConvSeriesAE, ConvTransform1d
 from repro.nn import batched as nnbatched
 from repro.nn import no_grad
 from repro.nn import tape as nntape
@@ -96,41 +97,76 @@ def test_score_tape_declines_when_disabled_and_releases():
 
 
 # --------------------------------------------------------------------- #
-# stacked plans and programs
+# stacked modules and programs
 # --------------------------------------------------------------------- #
 
-def test_stacked_plan_accepts_same_spec_members():
+def test_stack_modules_accepts_same_spec_members():
     modules = fitted_models(count=3)
-    plan = nnbatched.stacked_score_plan(modules)
-    assert plan is not None
+    # A member's recorded score tape holds a lock; stacking must not copy it.
+    nntape.score_tape(modules[0], (1, 1, 48))[0].run(batch(m=1))
+    stacked = nnbatched.stack_modules(modules)
+    assert "_score_tape_cache" not in stacked.__dict__
+    assert "_score_tape_cache" in modules[0].__dict__
+    names = [name for name, __ in modules[0].named_parameters()]
+    assert [name for name, __ in stacked.named_parameters()] == names
+    for j, module in enumerate(modules):
+        for (__, p), (__, q) in zip(stacked.named_parameters(),
+                                    module.named_parameters()):
+            assert p.data.shape == (3,) + q.data.shape
+            assert np.array_equal(p.data[j], q.data)
 
 
-def test_stacked_plan_declines_mixed_specs_and_fc():
+def test_stack_modules_declines_mixed_specs_and_fc():
     wide, = fitted_models(count=1, kernels=8)
     narrow, = fitted_models(count=1, kernels=4)
-    assert nnbatched.stacked_score_plan([wide, narrow]) is None
+    with pytest.raises(ValueError, match="diverge"):
+        nnbatched.stack_modules([wide, narrow])
     fc = fitted_models(count=2, arch="fc")
-    assert nnbatched.stacked_score_plan(fc) is None
+    with pytest.raises(ValueError, match="only Conv1d"):
+        nnbatched.stack_modules(fc)
+    with pytest.raises(ValueError):
+        nnbatched.StackedScoreProgram(fc, (2, 1, 48))
 
 
 def test_stacked_program_matches_solo_forwards_bit_for_bit():
     modules = fitted_models(count=3)
-    x = batch(m=3)
-    program = nnbatched.StackedScoreProgram(
-        nnbatched.stacked_score_plan(modules), x.shape
-    )
-    stacked = program.run(x).copy()
-    for j, module in enumerate(modules):
-        assert np.array_equal(stacked[j], eager_forward(module, x[j:j + 1])[0])
+    program = nnbatched.StackedScoreProgram(modules, (3, 1, 48))
+    for seed in (3, 4):                    # first run records, then replays
+        x = batch(seed=seed, m=3)
+        stacked = program.run(x).copy()
+        for j, module in enumerate(modules):
+            assert np.array_equal(stacked[j],
+                                  eager_forward(module, x[j:j + 1])[0])
     assert program.replays == 1
+
+
+#: (input channels, member constructor) per serving architecture.
+ARCHITECTURES = {
+    "rae-8x2": (1, lambda rng: ConvSeriesAE(1, kernels=8, num_layers=2,
+                                            rng=rng)),
+    "rae-2dim": (2, lambda rng: ConvSeriesAE(2, rng=rng)),
+    "rdae-f2": (1, lambda rng: ConvTransform1d(1, rng=rng)),
+}
+
+
+@pytest.mark.parametrize("length", [24, 40, 128])
+@pytest.mark.parametrize("arch", sorted(ARCHITECTURES))
+def test_stacked_program_matches_solo_across_architectures(arch, length):
+    dims, build = ARCHITECTURES[arch]
+    modules = [build(np.random.default_rng(seed)) for seed in range(4)]
+    program = nnbatched.StackedScoreProgram(modules, (4, dims, length))
+    for seed in (5, 6):                    # first run records, then replays
+        x = batch(seed=seed, m=4, dims=dims, length=length)
+        stacked = program.run(x).copy()
+        for j, module in enumerate(modules):
+            assert np.array_equal(stacked[j],
+                                  eager_forward(module, x[j:j + 1])[0])
 
 
 def test_stacked_program_refresh_follows_hot_swap():
     modules = fitted_models(count=2)
     x = batch(m=2)
-    program = nnbatched.StackedScoreProgram(
-        nnbatched.stacked_score_plan(modules), x.shape
-    )
+    program = nnbatched.StackedScoreProgram(modules, x.shape)
     program.run(x)
     before = nnbatched.stacked_member_token(modules)
     modules[0].readout.weight.data = modules[0].readout.weight.data * 3.0
@@ -143,10 +179,27 @@ def test_stacked_program_refresh_follows_hot_swap():
 
 def test_stacked_program_rejects_wrong_member_count():
     modules = fitted_models(count=2)
-    program = nnbatched.StackedScoreProgram(
-        nnbatched.stacked_score_plan(modules), (2, 1, 48)
-    )
     with pytest.raises(ValueError):
-        program.run(batch(m=3))
+        nnbatched.StackedScoreProgram(modules, (3, 1, 48))
+    program = nnbatched.StackedScoreProgram(modules, (2, 1, 48))
+    for __ in range(2):                    # before and after recording
+        with pytest.raises(ValueError):
+            program.run(batch(m=3))
+        # One row would broadcast into both members' rows.
+        with pytest.raises(ValueError):
+            program.run(batch(m=1))
+        program.run(batch(m=2))
     with pytest.raises(ValueError):
         program.refresh(modules[:1])
+
+
+def test_score_tape_rejects_mis_shaped_input():
+    module, = fitted_models(count=1)
+    tape, __ = nntape.score_tape(module, (2, 1, 48))
+    for __ in range(2):                    # before and after recording
+        with pytest.raises(ValueError):
+            tape.run(batch(m=1))
+        with pytest.raises(ValueError):
+            tape.run(batch(m=2, length=47))
+        tape.run(batch(m=2))
+    assert tape.replays == 1

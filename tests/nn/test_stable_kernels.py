@@ -15,6 +15,8 @@ its last columns from ``(W @ X)[:, :L1]`` at these architectures' shapes
 (measured), which is exactly the instability this mode exists to exclude.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -61,3 +63,53 @@ def test_stable_conv1d_bit_equal_to_tap_by_tap_reference(c_in, c_out, k):
         got = F.conv1d(nn.Tensor(x), nn.Parameter(weight),
                        nn.Parameter(bias)).data
     assert np.array_equal(got, reference)
+
+
+# Member-axis convs: weight (M, F, C, K), bias (M, F), input (M, C, L),
+# row m convolved with member m's kernel — the single-channel and the
+# multi-channel stable branches.
+MEMBER_SHAPES = [(1, 8, 3), (4, 8, 5)]
+MEMBERS = 3
+
+
+def member_params(rng, c_in, c_out, k):
+    weight = nn.Parameter(rng.standard_normal((MEMBERS, c_out, c_in, k)))
+    bias = nn.Parameter(rng.standard_normal((MEMBERS, c_out)))
+    return weight, bias
+
+
+@pytest.mark.parametrize("c_in,c_out,k", MEMBER_SHAPES)
+def test_stable_member_conv1d_tail_slice_bit_equal_across_lengths(c_in, c_out,
+                                                                  k):
+    rng = np.random.default_rng(2)
+    weight, bias = member_params(rng, c_in, c_out, k)
+    full = rng.standard_normal((MEMBERS, c_in, 400))
+    with nn.no_grad(), F.stable_kernels():
+        y_full = F.conv1d(nn.Tensor(full), weight, bias).data
+        for length in (k, 57, 100, 399):
+            tail = np.ascontiguousarray(full[:, :, -length:])
+            y_tail = F.conv1d(nn.Tensor(tail), weight, bias).data
+            want = y_full[:, :, y_full.shape[2] - y_tail.shape[2]:]
+            assert np.array_equal(y_tail, want), length
+
+
+@pytest.mark.parametrize("stable", [True, False], ids=["stable", "fast"])
+@pytest.mark.parametrize("c_in,c_out,k", MEMBER_SHAPES)
+def test_member_conv1d_slice_equals_serial_conv_with_member_kernel(
+        c_in, c_out, k, stable):
+    rng = np.random.default_rng(3)
+    weight, bias = member_params(rng, c_in, c_out, k)
+    x = rng.standard_normal((MEMBERS, c_in, 211))
+    mode = F.stable_kernels if stable else contextlib.nullcontext
+    with nn.no_grad(), mode():
+        got = F.conv1d(nn.Tensor(x), weight, bias, padding=1).data
+        for m in range(MEMBERS):
+            want = F.conv1d(nn.Tensor(x[m:m + 1]), nn.Tensor(weight.data[m]),
+                            nn.Tensor(bias.data[m]), padding=1).data
+            assert np.array_equal(got[m], want[0]), m
+
+
+def test_member_conv1d_rejects_mismatched_member_count():
+    weight, bias = member_params(np.random.default_rng(4), 2, 3, 3)
+    with pytest.raises(ValueError, match="member mismatch"):
+        F.conv1d(nn.Tensor(np.zeros((MEMBERS - 1, 2, 20))), weight, bias)

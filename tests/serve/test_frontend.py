@@ -20,6 +20,7 @@ from repro.serve import (
     StreamRouter,
     TcpFrontend,
 )
+from repro.serve.frontend import MAX_LINE_BYTES
 
 POISON = -86486486.0
 
@@ -219,6 +220,31 @@ def test_tcp_non_finite_value_is_an_err_reply_not_a_poisoned_window(
         assert stats["per_stream"]["s"]["submitted"] == 2
     finally:
         client.close()
+
+
+def test_tcp_overlong_line_closes_only_its_connection(tcp_frontend):
+    hog = LineClient(tcp_frontend.address)
+    other = LineClient(tcp_frontend.address)
+    try:
+        other.send("s,1.0")
+        # A line at the limit (newline included) is still an arrival.
+        edge = "s," + " " * (MAX_LINE_BYTES - len("s,2.0\n")) + "2.0"
+        other.send(edge)
+        wait_pending(tcp_frontend.engine, 2)
+        # One byte past the limit, and no newline ever: the server stops
+        # reading, answers, and closes this connection only.
+        hog.sock.sendall(b"x" * (MAX_LINE_BYTES + 1))
+        assert hog.readline() == "ERR line too long"
+        assert hog.reader.readline() == ""  # EOF
+        other.send("s,3.0")
+        other.send("?drain")
+        assert other.readline() == "s,0,1"
+        assert other.readline() == "s,1,2"
+        assert other.readline() == "s,2,3"
+        assert other.readline() == "OK"
+    finally:
+        hog.close()
+        other.close()
 
 
 def test_tcp_second_client_never_sees_first_clients_scores(tcp_frontend):
