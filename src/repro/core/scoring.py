@@ -101,6 +101,22 @@ def iter_key_batches(keys, batch_size):
             yield indices[lo : lo + batch_size]
 
 
+def _receptive_field(module):
+    """``module.receptive_field()``, memoised per module.
+
+    Composing the cone costs ~0.6 ms of ``Fraction`` arithmetic for the
+    paper's conv RAE, paid by every new session.  The memo is keyed by
+    the weights generation, so a weight rebound to another shape (e.g. a
+    different kernel size) is never answered from a stale cone.
+    """
+    state = module.__dict__
+    generation = nn.layers.weights_generation()
+    if state.get("_receptive_generation") != generation:
+        state["_receptive_field"] = module.receptive_field()
+        state["_receptive_generation"] = generation
+    return state["_receptive_field"]
+
+
 def _forward_scaled_batch(detector, kind, scaled, stable=False):
     """Score an already-scaled ``(M, C, D)`` batch with one forward pass.
 
@@ -168,6 +184,21 @@ def _module_signature(module):
     return (type(module).__name__, tuple(parts), params)
 
 
+# Structural signature -> its interned (kind, n) key.  Interning makes
+# every grouping dict a drain builds hash a 2-tuple, not the nested
+# signature (~1.7 KB for the paper's conv RAE).
+_INTERNED = {}
+_INTERN_LOCK = threading.Lock()
+
+
+def _intern(kind, signature):
+    with _INTERN_LOCK:
+        key = _INTERNED.get((kind, signature))
+        if key is None:
+            key = _INTERNED[(kind, signature)] = (kind, len(_INTERNED))
+        return key
+
+
 def architecture_fingerprint(detector, kind=None):
     """Stable grouping key for a fitted detector's serving forward.
 
@@ -177,8 +208,11 @@ def architecture_fingerprint(detector, kind=None):
     lagged-matrix RDAE path keeps identity keys — its embedding geometry
     is per-session and never batches across detectors.
 
-    The fingerprint is memoised per serving-module object; it reflects the
-    structure at first use.  That is only a *grouping* hint — a group
+    Fingerprints are small interned ``(kind, n)`` keys: each distinct
+    structural signature is numbered once per process, so equal
+    signatures get equal keys and hashing one is O(1).  The fingerprint
+    is memoised per serving-module object; it reflects the structure at
+    first use.  That is only a *grouping* hint — a group
     whose members turn out not to stack (e.g. a weight hot-swapped to a
     mismatched shape after the memo) degrades to per-detector eager
     forwards or per-shard fault isolation, never to wrong scores.
@@ -191,7 +225,7 @@ def architecture_fingerprint(detector, kind=None):
     cached = detector.__dict__.get("_arch_fingerprint")
     if cached is not None and cached[0] is module:
         return cached[1]
-    fingerprint = (kind, _module_signature(module))
+    fingerprint = _intern(kind, _module_signature(module))
     detector.__dict__["_arch_fingerprint"] = (module, fingerprint)
     return fingerprint
 
@@ -467,7 +501,7 @@ class ScoringSession:
         self._field = None
         if tail_forward and self.kind in ("rae", "rdae_series"):
             module = detector.model_ if self.kind == "rae" else detector._f2
-            field = module.receptive_field()
+            field = _receptive_field(module)
             if field.bounded:
                 self._field = field
                 self._period = field.period_int
@@ -549,6 +583,32 @@ class ScoringSession:
         if cache_scores is not None and cache_total is not None:
             self._cache_scores = np.asarray(cache_scores, dtype=np.float64).copy()
             self._cache_total = int(cache_total)
+        return self
+
+    def checkpoint(self, n):
+        """An undo point for ingesting ``n`` more rows (see
+        :meth:`rewind`): the ring's undo point, O(min(n, window))."""
+        return self._ring.checkpoint(n)
+
+    def rewind(self, mark):
+        """Return to the state :meth:`checkpoint` saw, bit for bit.
+
+        Rewinds the ring and rebuilds the lagged embedding from it (the
+        :meth:`load_state` path).  Memos of arrivals past the undo point
+        are dropped; older ones stay valid, because the rewound rows are
+        bit-identical.  (A drain installs forward results only after every
+        forward succeeded, so a failed drain normally leaves none newer.)
+        """
+        self._ring.rewind(mark)
+        if self._lagged is not None:
+            self._lagged.rebuild(np.asarray(self._ring.view()))
+        total = self._ring.total
+        if self._cache_total > total:
+            self._cache_total = -1
+            self._cache_scores = np.zeros(0)
+        if self._tail_total > total:
+            self._tail_total = -1
+            self._tail_scores = np.zeros(0)
         return self
 
     def ingest(self, points):

@@ -33,8 +33,6 @@ the remaining reductions per member:
 
 from __future__ import annotations
 
-import copy
-
 import numpy as np
 
 from . import tape as nn_tape
@@ -50,11 +48,12 @@ __all__ = [
     "stacked_member_token",
 ]
 
-#: Identity token of member modules and their parameter arrays.  A cached
-#: :class:`StackedScoreProgram` holds *copies* of the member weights, so it
-#: is refreshed whenever the token changes: a membership change, or a
-#: member parameter hot-swapped to a fresh backing array (the versioned-swap
-#: convention: rebind ``.data``, don't mutate a live fitted module in place).
+#: O(1) identity token of the member modules and the weights generation.
+#: A cached :class:`StackedScoreProgram` holds *copies* of the member
+#: weights, so it is refreshed whenever the token changes: a membership
+#: change, a parameter's ``.data`` rebound anywhere (the versioned-swap
+#: convention: rebind ``.data``, don't mutate a live fitted module in
+#: place), or a module constructed anywhere.
 stacked_member_token = nn_tape.weights_token
 
 
@@ -81,10 +80,15 @@ def _stack(position, owner=None):
         return lead
     if any(type(value) is not type(lead) for value in position):
         raise ValueError("member module types diverge")
-    clone = copy.copy(lead)
+    # A shallow copy that skips Module.__new__: the clone is private to a
+    # stacked program and never a cache-token member, so building one must
+    # not bump the weights generation (that would refresh every cached
+    # program, this one's groupmates included).
+    clone = object.__new__(type(lead))
+    state = vars(clone)
+    state.update(vars(lead))
     # Recorded tapes belong to the member (and hold locks): never share them.
     nn_tape.release_tapes(clone)
-    state = vars(clone)
     for name, item in vars(lead).items():
         if isinstance(item, (Module, Parameter, list, tuple)):
             state[name] = _stack([vars(value).get(name) for value in position],

@@ -8,6 +8,8 @@ activations, dropout, and layer normalisation (for the transformer baseline).
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from . import functional as F
@@ -16,6 +18,7 @@ from .receptive import UNBOUNDED, ReceptiveField
 from .tensor import Tensor
 
 __all__ = [
+    "weights_generation",
     "Module",
     "Parameter",
     "Linear",
@@ -36,8 +39,58 @@ __all__ = [
 ]
 
 
+# The process-wide weights generation.  Every stored value is drawn once
+# from the counter (draw, then store), so a generation read before a bump
+# never matches after it, even when two bumps race.
+_DRAWS = itertools.count(1)
+_GENERATION = [0]
+
+
+def _bump_generation():
+    _GENERATION[0] = next(_DRAWS)
+
+
+def weights_generation():
+    """The process-wide weights generation.
+
+    It changes whenever a :class:`Module` is constructed or a
+    :class:`Parameter`'s ``.data`` is rebound to a different array, and at
+    no other time: in-place updates (``np.copyto``, the optimisers'
+    ``p.data -= ...``) keep it.  So ``(module ids, generation)`` names one
+    set of live weights in O(1), whatever the model size — the cache
+    token of every compiled score program (see
+    :func:`repro.nn.tape.weights_token`).  A module id can only recur
+    after a construction, which bumps.
+    """
+    return _GENERATION[0]
+
+
+_TENSOR_DATA = Tensor.__dict__["data"]  # the Tensor slot behind .data
+
+
+def _rebind_data(param, value):
+    try:
+        current = _TENSOR_DATA.__get__(param)
+    except AttributeError:  # the first assignment, in Tensor.__init__
+        current = value
+    # Store, then bump: a token read in between carries the old generation
+    # and only refreshes once more.  Bumping first could let a reader cache
+    # the old array under the new generation for good.
+    _TENSOR_DATA.__set__(param, value)
+    if value is not current:
+        _bump_generation()
+
+
 class Parameter(Tensor):
-    """A Tensor registered as a learnable parameter of a Module."""
+    """A Tensor registered as a learnable parameter of a Module.
+
+    ``.data`` is a property over the Tensor slot: rebinding it to a
+    different array bumps :func:`weights_generation` (the hot-swap
+    signal); in-place updates and the constructor's first assignment do
+    not.
+    """
+
+    data = property(_TENSOR_DATA.__get__, _rebind_data)
 
     def __init__(self, data):
         super().__init__(data, requires_grad=True)
@@ -45,6 +98,13 @@ class Parameter(Tensor):
 
 class Module:
     """Base class with parameter registration and train/eval mode."""
+
+    def __new__(cls, *args, **kwargs):
+        # Every route to a new module (construction, copy, unpickling)
+        # bumps the weights generation, so a freed module's id that comes
+        # back can never match a cached program's token.
+        _bump_generation()
+        return super().__new__(cls)
 
     def __init__(self):
         self.training = True

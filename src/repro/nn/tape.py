@@ -47,9 +47,9 @@ because recording runs *inside* ``no_grad()``/``stable_kernels()``, the
 closures bake in the length-stable serving arithmetic and replay it
 bit-identically.  It is the one compiled inference mechanism: a solo
 module's tape comes from :func:`score_tape`, the shape-keyed per-module
-cache (invalidated when :func:`weights_token` changes, i.e. a parameter's
-backing array is hot-swapped), and a cross-detector group's from
-:class:`repro.nn.batched.StackedScoreProgram`, which records one over a
+cache (invalidated when :func:`weights_token` changes: a parameter's
+``.data`` rebound, or a module constructed), and a cross-detector group's
+from :class:`repro.nn.batched.StackedScoreProgram`, which records one over a
 member-stacked module.  The compiled serving path honours the same
 ``REPRO_EAGER`` opt-out as the training tape.
 """
@@ -447,20 +447,20 @@ _MAX_SCORE_TAPES_PER_MODULE = 6
 
 
 def weights_token(modules):
-    """Identity token of ``modules`` and the arrays backing their parameters.
+    """O(1) identity token of ``modules`` and the weights they hold.
 
-    Hot-swapping a parameter's value *in place* (``np.copyto``) keeps the
-    token — recorded closures read ``weight.data`` live, so in-place swaps
-    replay correctly without re-recording.  *Rebinding* ``.data`` to a
-    fresh array (weight hot-swap via assignment, ``load_state_dict``) or
-    changing the member list changes the token, which invalidates a score
-    tape's recording and refreshes a stacked program's weight copies.
+    ``(module ids, weights generation)``: hot-swapping a parameter's value
+    *in place* (``np.copyto``) keeps the token — recorded closures read
+    ``weight.data`` live, so in-place swaps replay correctly without
+    re-recording.  *Rebinding* any parameter's ``.data`` to a different
+    array (weight hot-swap via assignment, ``load_state_dict``),
+    constructing any module, or changing the member list changes it
+    (see :func:`repro.nn.layers.weights_generation`), which invalidates a
+    score tape's recording and refreshes a stacked program's weight
+    copies.  The generation is process-wide, so one hot-swap refreshes
+    every cached program once; the check itself never walks a parameter.
     """
-    return tuple(
-        (id(module),)
-        + tuple(id(p.data) for __, p in module.named_parameters())
-        for module in modules
-    )
+    return tuple(map(id, modules)), layers.weights_generation()
 
 
 class ScoreTape:
@@ -566,8 +566,9 @@ def score_tape(module, shape):
     caller falls back to the eager stable forward.  ``event`` reports what
     the cache did (``"hit"``/``"miss"``/``"invalidated"``) for the
     serving layer's program-cache counters, or None when the lookup never
-    consulted the cache; an ``"invalidated"`` event means a parameter's
-    backing array was hot-swapped since the recording, which re-records.
+    consulted the cache; an ``"invalidated"`` event means the weights
+    generation moved since the recording (a parameter's ``.data`` rebound
+    or a module constructed, anywhere), which re-records.
     """
     if not _ENABLED[0]:
         return None, None

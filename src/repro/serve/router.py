@@ -88,22 +88,6 @@ def _require_finite(stream_id, values):
         )
 
 
-def reset_scorer_state(scorer, state):
-    """Force ``scorer`` to exactly the retained state ``state``.
-
-    Unlike :meth:`repro.stream.StreamScorer.load_state_dict` (which treats
-    an ``empty`` state as "nothing to restore"), this also *clears* live
-    state when the target is empty — the semantics the fault-isolation
-    rollback needs: after it, the scorer is indistinguishable from one that
-    only ever saw ``state``.
-    """
-    if state["kind"] == "empty":
-        scorer._session = None
-        scorer._ring = None
-        return scorer
-    return scorer.load_state_dict(state)
-
-
 def score_shard_group(shards, items, batch_size, programs=None):
     """Score one shard group: ``items = [(stream_id, rows)]``.
 
@@ -118,12 +102,14 @@ def score_shard_group(shards, items, batch_size, programs=None):
     Fault isolation covers the whole shard lifecycle: a stream that fails
     to *ingest* (e.g. an unfitted detector) never mutated its shard, and a
     stream whose detector fails while *scoring* is rolled back to its
-    pre-chunk state (:func:`reset_scorer_state` of a snapshot), so the
-    caller can re-queue its rows without double-ingesting them on the next
-    drain.  When a faulty detector poisons a *grouped* forward, the group
-    falls back to per-shard scoring so only the faulty stream(s) fail —
-    bit-identically for the healthy ones (stable kernels make each
-    position's arithmetic independent of the stacked batch).
+    pre-chunk state, so the caller can re-queue its rows without
+    double-ingesting them on the next drain.  The undo point costs
+    O(chunk): the ring's total plus the rows the chunk overwrites, never
+    a snapshot of the whole window.  When a faulty detector poisons a
+    *grouped* forward, the group falls back to per-shard scoring so only
+    the faulty stream(s) fail — bit-identically for the healthy ones
+    (stable kernels make each position's arithmetic independent of the
+    stacked batch).
 
     ``programs`` (an :class:`repro.core.InferencePrograms`, or None for
     eager) is handed to :func:`repro.core.batched_session_scores`; groups
@@ -137,13 +123,13 @@ def score_shard_group(shards, items, batch_size, programs=None):
     results, failures, deferred = {}, {}, []
     for stream_id, rows in items:
         scorer = shards[stream_id]
-        # Pre-chunk snapshot: scoring failures must roll the shard back so
-        # the re-queued rows are not double-ingested on the next drain.
-        # (Ingest failures need no rollback — _ingest_chunk validates
-        # before it mutates.)
-        snapshot = scorer.state_dict()
         chunk = (rows if isinstance(rows, np.ndarray) and rows.ndim == 2
                  else np.stack(rows))
+        # Pre-chunk undo point: scoring failures must roll the shard back
+        # so the re-queued rows are not double-ingested on the next drain.
+        # (Ingest failures need no rollback — _ingest_chunk validates
+        # before it mutates.)
+        undo = scorer._checkpoint(chunk.shape[0])
         try:
             n, needs_scores = scorer._ingest_chunk(chunk)
         except Exception as exc:  # noqa: BLE001 - isolate faulty shards
@@ -152,18 +138,18 @@ def score_shard_group(shards, items, batch_size, programs=None):
         if not needs_scores:
             results[stream_id] = np.zeros(n)
         elif scorer._session is not None:
-            deferred.append((stream_id, scorer, n, snapshot))
+            deferred.append((stream_id, scorer, n, undo))
         else:
             try:
                 results[stream_id] = scorer._collect_chunk(
                     n, scorer._window_scores()
                 )
             except Exception as exc:  # noqa: BLE001
-                reset_scorer_state(scorer, snapshot)
+                scorer._rollback(undo)
                 failures[stream_id] = (exc, rows)
     if deferred:
-        sessions = [scorer._session for __, scorer, __n, __s in deferred]
-        counts = [n for __, __s, n, __snap in deferred]
+        sessions = [scorer._session for __, scorer, __n, __u in deferred]
+        counts = [n for __, __s, n, __u in deferred]
         try:
             tails = batched_session_scores(
                 sessions, batch_size=batch_size, tail=counts,
@@ -171,16 +157,16 @@ def score_shard_group(shards, items, batch_size, programs=None):
             )
         except Exception:  # noqa: BLE001 - a faulty detector in the stack
             rows_by_stream = dict(items)
-            for stream_id, scorer, n, snapshot in deferred:
+            for stream_id, scorer, n, undo in deferred:
                 try:
                     results[stream_id] = scorer._collect_chunk(
                         n, scorer._session.last_scores(n)
                     )
                 except Exception as exc:  # noqa: BLE001
-                    reset_scorer_state(scorer, snapshot)
+                    scorer._rollback(undo)
                     failures[stream_id] = (exc, rows_by_stream[stream_id])
         else:
-            for (stream_id, scorer, n, __snap), tail in zip(deferred, tails):
+            for (stream_id, scorer, n, __undo), tail in zip(deferred, tails):
                 results[stream_id] = scorer._collect_chunk(n, tail)
     return results, failures
 

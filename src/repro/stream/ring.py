@@ -61,15 +61,40 @@ class RingBuffer:
             skipped = arr.shape[0] - self.capacity
             self._total += skipped
             arr = arr[skipped:]
-        slot = self._total % self.capacity
-        first = min(arr.shape[0], self.capacity - slot)
+        self._write(self._total % self.capacity, arr)
+        self._total += arr.shape[0]
+        return self
+
+    def _write(self, slot, arr):
+        """Write ``arr`` (at most ``capacity`` rows) from ``slot`` on,
+        wrapping, into both copies of each slot."""
+        cap = self.capacity
+        first = min(arr.shape[0], cap - slot)
         self._data[slot : slot + first] = arr[:first]
-        self._data[slot + self.capacity : slot + self.capacity + first] = arr[:first]
+        self._data[slot + cap : slot + cap + first] = arr[:first]
         rest = arr.shape[0] - first
         if rest:
             self._data[:rest] = arr[first:]
-            self._data[self.capacity : self.capacity + rest] = arr[first:]
-        self._total += arr.shape[0]
+            self._data[cap : cap + rest] = arr[first:]
+
+    def checkpoint(self, n):
+        """An undo point for a coming ``extend`` of ``n`` rows.
+
+        Holds the current ``total`` and a copy of the ``min(n, capacity)``
+        slots that extend overwrites — O(chunk), not O(window).  Every slot
+        is stored twice, ``capacity`` apart, so those slots are one
+        contiguous slice of the backing array even when they wrap.
+        """
+        slot = self._total % self.capacity
+        count = min(int(n), self.capacity)
+        return self._total, self._data[slot : slot + count].copy()
+
+    def rewind(self, mark):
+        """Undo every extend since :meth:`checkpoint` returned ``mark``,
+        restoring the backing array bit for bit."""
+        total, saved = mark
+        self._write(total % self.capacity, saved)
+        self._total = total
         return self
 
     def load(self, rows, total):

@@ -171,6 +171,24 @@ class StreamScorer:
         self._ring.extend(arr)
         return n, self._ring.total >= self.min_points
 
+    def _checkpoint(self, n):
+        """An undo point for a coming ``_ingest_chunk`` of ``n`` rows:
+        O(min(n, window)), unlike a :meth:`state_dict` snapshot."""
+        owner = self._session if self._session is not None else self._ring
+        return owner, None if owner is None else owner.checkpoint(n)
+
+    def _rollback(self, mark):
+        """Undo every ingest since :meth:`_checkpoint` returned ``mark``:
+        afterwards the scorer is indistinguishable from one that never
+        saw those rows (a mark taken before any state drops it again)."""
+        owner, point = mark
+        if owner is None:
+            self._session = None
+            self._ring = None
+        else:
+            owner.rewind(point)
+        return self
+
     def _collect_chunk(self, n, window_scores):
         """Map window scores back to the last ``n`` ingested arrivals."""
         out = np.zeros(n)

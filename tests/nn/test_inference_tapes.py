@@ -3,7 +3,7 @@
 The serving-level contract (bit-identical compiled drains) lives in
 ``tests/serve/test_compiled_drain.py``; these tests pin the building
 blocks directly: :class:`repro.nn.tape.ScoreTape` record/replay,
-shape-keyed caching with hot-swap invalidation,
+shape-keyed caching with hot-swap invalidation, the O(1) weights token,
 :func:`repro.nn.batched.stack_modules`'s accept/decline decisions,
 and :class:`repro.nn.batched.StackedScoreProgram` replay + refresh.
 """
@@ -13,6 +13,7 @@ import pytest
 
 from repro.core import RAE
 from repro.core.autoencoders import ConvSeriesAE, ConvTransform1d
+from repro.nn import Adam, Conv1d
 from repro.nn import batched as nnbatched
 from repro.nn import no_grad
 from repro.nn import tape as nntape
@@ -203,3 +204,103 @@ def test_score_tape_rejects_mis_shaped_input():
             tape.run(batch(m=2, length=47))
         tape.run(batch(m=2))
     assert tape.replays == 1
+
+
+# --------------------------------------------------------------------- #
+# the weights token: (module ids, weights generation)
+# --------------------------------------------------------------------- #
+
+def test_weights_token_survives_in_place_updates():
+    modules = fitted_models(count=2)
+    token = nntape.weights_token(modules)
+    weight = modules[0].readout.weight
+    np.copyto(weight.data, weight.data * 1.5)
+    assert nntape.weights_token(modules) == token
+    # The optimisers update in place (`p.data -= ...` hands the same
+    # array back to the setter), so training steps keep the token too.
+    optimizer = Adam(modules[0].parameters(), lr=1e-3)
+    for param in modules[0].parameters():
+        param.grad = np.ones_like(param.data)
+    optimizer.step()
+    assert nntape.weights_token(modules) == token
+
+
+def test_weights_token_changes_on_rebind_and_construction():
+    modules = fitted_models(count=2)
+    token = nntape.weights_token(modules)
+    weight = modules[1].readout.weight
+    weight.data = weight.data.copy()
+    rebound = nntape.weights_token(modules)
+    assert rebound != token
+    # Handing the current array back is not a rebind.
+    weight.data = weight.data
+    assert nntape.weights_token(modules) == rebound
+    Conv1d(1, 1, 3)
+    assert nntape.weights_token(modules) != rebound
+    assert nntape.weights_token(modules[::-1]) != nntape.weights_token(modules)
+
+
+def compiled_and_eager_routers(detectors, window=32):
+    """Two routers over the same detector objects: one drains compiled,
+    the other eager, so every hot-swap reaches both."""
+    from repro.serve import StreamRouter
+
+    routers = [StreamRouter(window=window, min_points=2) for __ in range(2)]
+    for router in routers:
+        for index, detector in enumerate(detectors):
+            router.add_stream("s%d" % index, detector)
+    return routers
+
+
+def drain_both(routers, detectors, seed):
+    rows = np.random.default_rng(seed).standard_normal((4, 1))
+    drained = []
+    for router, compiled in zip(routers, (True, False)):
+        for index in range(len(detectors)):
+            router.submit_many("s%d" % index, rows + 0.1 * index)
+        previous = nntape.set_tape_enabled(compiled)
+        try:
+            drained.append(router.drain())
+        finally:
+            nntape.set_tape_enabled(previous)
+    return drained
+
+
+def assert_drains_equal(compiled, eager):
+    assert set(compiled) == set(eager)
+    for sid in compiled:
+        assert np.array_equal(compiled[sid], eager[sid]), sid
+
+
+def fitted_detectors(count=3):
+    series = (np.sin(np.linspace(0, 20, 160))[:, None]
+              + 0.1 * np.random.default_rng(0).standard_normal((160, 1)))
+    return series, [
+        RAE(seed=seed, max_iterations=1, epochs_per_iteration=1).fit(series)
+        for seed in range(count)
+    ]
+
+
+def test_two_rebinds_between_drains_score_like_eager():
+    __, detectors = fitted_detectors()
+    routers = compiled_and_eager_routers(detectors)
+    for seed in range(12):                 # warm: windows full, programs hit
+        assert_drains_equal(*drain_both(routers, detectors, seed))
+    weight = detectors[1].model_.readout.weight
+    weight.data = weight.data * 2.0
+    weight.data = weight.data * -0.5       # the first new array is freed
+    assert_drains_equal(*drain_both(routers, detectors, 12))
+    assert_drains_equal(*drain_both(routers, detectors, 13))
+
+
+def test_refitting_a_member_twice_between_drains_scores_like_eager():
+    series, detectors = fitted_detectors()
+    routers = compiled_and_eager_routers(detectors)
+    for seed in range(12):
+        assert_drains_equal(*drain_both(routers, detectors, seed))
+    # Each fit builds new module objects and frees the previous ones, so
+    # a member's module id can come back while its weights differ.
+    detectors[2].fit(series * 1.1)
+    detectors[2].fit(series * 0.9)
+    assert_drains_equal(*drain_both(routers, detectors, 12))
+    assert_drains_equal(*drain_both(routers, detectors, 13))

@@ -119,6 +119,58 @@ def test_compiled_drain_bit_equal_across_backends(backend):
 
 
 # --------------------------------------------------------------------- #
+# steady-state bookkeeping: O(1) per drain, whatever the model and window
+# --------------------------------------------------------------------- #
+
+def test_steady_state_drains_walk_no_parameters_and_snapshot_nothing(
+        monkeypatch):
+    """Warm compiled drains of 8 same-spec shards validate the cached
+    stacked program by the O(1) weights token and roll back by O(chunk)
+    undo points: no ``named_parameters`` walk, no ``state_dict`` copy."""
+    from repro import nn
+    from repro.stream import StreamScorer
+
+    detectors = fitted_fleet("RAE", count=8)
+    previous = nntape.set_tape_enabled(True)
+    try:
+        router = StreamRouter(window=32, min_points=2, batch_size=8)
+        for index, detector in enumerate(detectors):
+            router.add_stream("s%d" % index, detector)
+        rng = np.random.default_rng(5)
+
+        def one_arrival_each():
+            for index in range(8):
+                router.submit("s%d" % index, rng.standard_normal(1))
+            assert len(router.drain()) == 8
+
+        for __ in range(40):               # fill the windows, compile
+            one_arrival_each()
+        calls = {"named_parameters": 0, "state_dict": 0}
+
+        def counting(owner, name):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counting(nn.Module, "named_parameters")
+        counting(StreamScorer, "state_dict")
+        before = router.stats()["program_cache"]
+        drains = 10
+        for __ in range(drains):
+            one_arrival_each()
+        after = router.stats()["program_cache"]
+    finally:
+        nntape.set_tape_enabled(previous)
+    assert calls == {"named_parameters": 0, "state_dict": 0}
+    assert after["hits"] - before["hits"] == drains
+    assert after["misses"] == before["misses"]
+    assert after["invalidations"] == before["invalidations"]
+
+
+# --------------------------------------------------------------------- #
 # cross-detector grouping (the id() -> fingerprint re-key)
 # --------------------------------------------------------------------- #
 

@@ -5,7 +5,9 @@ contains a magic POISON value travelling *in the data*.  A drain must
 isolate it: healthy streams score, the faulty stream's arrivals return to
 the queue front, state is rolled back so nothing is double-ingested, and
 once the poison ages out of the window the stream recovers with zero lost
-or duplicated arrivals.
+or duplicated arrivals.  Session-backed shards (fitted RAE/RDAE) fail
+through a botched weight hot-swap instead, and must roll back bit-exactly
+from their O(chunk) undo points.
 
 Everything here is deterministic: faults fire on data content, never on
 timing.
@@ -14,6 +16,7 @@ timing.
 import numpy as np
 import pytest
 
+from repro.core import RAE, RDAE
 from repro.serve import DrainError, StreamRouter
 
 POISON = -86486486.0  # exact in float64, never produced by clean feeds
@@ -131,3 +134,76 @@ def test_fault_during_warmup_chunk_rolls_back_cleanly():
     recovered = router.drain()
     assert recovered["doomed"].shape == (6,)
     assert total_counts(router)["doomed"] == (6, 6)
+
+
+# --------------------------------------------------------------------- #
+# session-backed shards: rollback after a botched hot-swap
+# --------------------------------------------------------------------- #
+
+def fitted(kind):
+    rng = np.random.default_rng(0)
+    series = (np.sin(np.linspace(0, 24, 180))[:, None]
+              + 0.1 * rng.standard_normal((180, 1)))
+    if kind == "rdae_matrix":
+        detector = RDAE(window=8, use_f2=False, max_outer=1,
+                        inner_iterations=1, series_iterations=1)
+        return detector.fit(series), detector._inner
+    detector = RAE(max_iterations=1, epochs_per_iteration=1).fit(series)
+    return detector, detector.model_
+
+
+def series_rows(seed, n):
+    return np.sin(np.arange(n) / 3.0 + seed)[:, None] + 0.05 * seed
+
+
+def assert_states_equal(left, right):
+    assert left.keys() == right.keys()
+    for key in left:
+        assert np.array_equal(left[key], right[key]), key
+
+
+ROLLBACK_CASES = {
+    # (kind, window, warm-up rows, failing chunk rows)
+    "wraps-full-ring": ("rae", 32, 60, 8),     # slots 28..35 wrap past 32
+    "chunk-over-window": ("rae", 32, 45, 40),
+    "lagged-matrix": ("rdae_matrix", 32, 50, 6),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ROLLBACK_CASES))
+def test_botched_hot_swap_rolls_session_back_exactly(case):
+    kind, window, warm, rows = ROLLBACK_CASES[case]
+    detector, module = fitted(kind)
+    weight = next(p for __, p in module.named_parameters()
+                  if p.data.ndim >= 3)    # the first conv kernel
+    good = weight.data
+    warm_rows, chunk = series_rows(1, warm), series_rows(2, rows)
+    after = series_rows(3, 3)
+
+    def serve(botch):
+        router = StreamRouter(window=window, min_points=2)
+        router.add_stream("s", detector)
+        for lo in range(0, warm, 5):
+            router.submit_many("s", warm_rows[lo:lo + 5])
+            router.drain()
+        router.submit_many("s", chunk)
+        if botch:
+            before = router.stream("s").state_dict()
+            weight.data = np.zeros((3,) * good.ndim)
+            with pytest.raises(DrainError) as excinfo:
+                router.drain()
+            assert set(excinfo.value.failures) == {"s"}
+            assert router.stats()["per_stream"]["s"]["lag"] == rows
+            # Rolled back bit-exactly, before anything re-ingests.
+            assert_states_equal(before, router.stream("s").state_dict())
+            weight.data = good
+        drained = [router.drain()["s"]]
+        router.submit_many("s", after)
+        drained.append(router.drain()["s"])
+        return drained, router.stream("s").state_dict()
+
+    reference, reference_state = serve(botch=False)
+    recovered, recovered_state = serve(botch=True)
+    for want, got in zip(reference, recovered):
+        assert np.array_equal(want, got)
+    assert_states_equal(reference_state, recovered_state)

@@ -68,3 +68,17 @@ def test_dimension_mismatch_raises():
         ring.append([1.0])
     with pytest.raises(ValueError):
         ring.extend(np.zeros((4, 3)))
+
+
+@pytest.mark.parametrize("before,n", [(0, 3), (5, 3), (6, 4), (9, 2),
+                                      (4, 7), (11, 20)])
+def test_rewind_restores_the_buffer_bit_for_bit(before, n):
+    ring = RingBuffer(7, 2)
+    ring.extend(np.arange(2.0 * before).reshape(before, 2))
+    data, total = ring._data.copy(), ring.total
+    mark = ring.checkpoint(n)
+    assert mark[1].shape[0] == min(n, 7)   # O(chunk), not O(window)
+    ring.extend(-np.arange(2.0 * n).reshape(n, 2) - 1.0)
+    ring.rewind(mark)
+    assert ring.total == total
+    assert np.array_equal(ring._data, data)
