@@ -260,7 +260,7 @@ class StackedBufferMutationRule(Rule):
     hint = (
         "hot-swap weights by rebinding the member module's Parameter "
         ".data (the member token then invalidates the cached program and "
-        "refresh() re-copies), or mutate inside the program's own methods"
+        "the cache rebuilds it), or mutate inside the program's own methods"
     )
 
     def check(self, ctx):

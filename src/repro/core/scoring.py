@@ -33,9 +33,10 @@ The compiled inference path removes the remaining per-forward overhead.
 structural key, so :func:`batched_session_scores` groups slices by
 *architecture* instead of detector identity — S same-spec shards, each
 with its own weights, share one forward.  :class:`InferencePrograms` is
-the program cache that executes those groups, always through a grad-free
-:class:`repro.nn.tape.ScoreTape`: solo-module groups replay the module's
-own tape; mixed-detector groups replay a
+the one program cache that executes those groups, keyed by member ids
+and input shape, always through a grad-free
+:class:`repro.nn.tape.ScoreTape`: solo-module groups replay a tape over
+the module; mixed-detector groups replay a
 :class:`repro.nn.batched.StackedScoreProgram`, a tape recorded over one
 module whose conv weights stack the members' along a leading member axis.
 Both replay the serving kernels' length-stable arithmetic exactly, so
@@ -252,26 +253,36 @@ def drain_group_key(detector):
 class InferencePrograms:
     """Per-router cache of compiled score forwards.
 
-    One instance is shared by every shard of a router — solo slice
-    forwards replay grad-free :func:`repro.nn.tape.score_tape` recordings,
-    and cross-detector groups replay
-    :class:`repro.nn.batched.StackedScoreProgram` tapes cached by
-    ``(architecture fingerprint, stacked input shape)``.  ``hits`` /
-    ``misses`` / ``invalidations`` count cache events for
-    ``StreamRouter.stats()``; an invalidation means a member's parameter
-    array was hot-swapped since the program compiled (the program is
-    refreshed from the new weights before it replays).
+    One instance is shared by every shard of a router and holds every
+    compiled score forward the router replays, in one dict keyed by
+    ``(member ids, input shape)``.  A group whose rows all belong to one
+    module gets a grad-free :class:`repro.nn.tape.ScoreTape` (member ids
+    ``(id(module),)``); a cross-detector group gets a
+    :class:`repro.nn.batched.StackedScoreProgram` (one id per row).  Each
+    entry remembers the weights generation it was built under; when the
+    generation moves (a parameter's ``.data`` rebound or a module
+    constructed, anywhere), the program is rebuilt from the current
+    weights.  A ``None`` verdict (module not tape-safe, members that do
+    not stack) is cached the same way, and a program whose recording was
+    poisoned is declined.  The dict holds at most :attr:`_MAX_PROGRAMS`
+    entries, evicted oldest first.
+
+    ``hits`` / ``misses`` / ``invalidations`` count lookups for
+    ``StreamRouter.stats()``: an invalidation means exactly that the
+    weights generation moved since the program was built.
 
     Thread-safe: the cache map and counters sit behind one lock
     (``StreamRouter.stats()`` takes the counters from frontend threads
     while a drain replays), and every program serialises its own replays.
     """
 
-    _MAX_STACKED = 32
+    #: Most programs one router keeps.  Each holds its recorded buffers,
+    #: so the bound caps a router's compiled-inference memory.
+    _MAX_PROGRAMS = 64
 
     #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded).
     _GUARDED_BY = {
-        "_stacked": "_lock",
+        "_programs": "_lock",
         "_hits": "_lock",
         "_misses": "_lock",
         "_invalidations": "_lock",
@@ -279,23 +290,12 @@ class InferencePrograms:
 
     def __init__(self):
         self._lock = threading.Lock()
-        self._stacked = {}  # (fingerprint, shape) -> (member token, program|None)
+        self._programs = {}  # (member ids, shape) -> (generation, program|None)
         self._hits = 0
         self._misses = 0
         self._invalidations = 0
 
     # -- counters ------------------------------------------------------- #
-    def _count(self, event):
-        if event is None:
-            return
-        with self._lock:
-            if event == "hit":
-                self._hits += 1
-            elif event == "miss":
-                self._misses += 1
-            elif event == "invalidated":
-                self._invalidations += 1
-
     def counters(self):
         """Snapshot of ``{"hits", "misses", "invalidations"}``."""
         with self._lock:
@@ -312,41 +312,40 @@ class InferencePrograms:
             return out
 
     # -- program lookup ------------------------------------------------- #
-    def _stacked_program(self, fingerprint, modules, shape):
-        """The cached stacked program for this group, refreshed/rebuilt as
-        needed; None when the members do not stack (cached so repeated
-        drains of an unstackable group pay one ``stack_modules`` attempt,
-        not one per drain — the member token keys the verdict, so a weight
-        hot-swap retries)."""
-        key = (fingerprint, shape)
-        token = nn_batched.stacked_member_token(modules)
+    def _program(self, modules, shape):
+        """The cached program for these row modules and input shape, built
+        on a miss or a generation change; None when the compiled path
+        declines (not tape-safe, members that do not stack, poisoned)."""
+        first = modules[0]
+        if all(module is first for module in modules):
+            modules = (first,)
+        ids, generation = nn_batched.stacked_member_token(modules)
+        key = (ids, shape)
         with self._lock:
-            entry = self._stacked.get(key)
-            if entry is not None and entry[0] == token:
-                if entry[1] is not None:
-                    self._hits += 1
-                return entry[1]
-            if entry is not None:
-                self._invalidations += 1
+            entry = self._programs.get(key)
+            if entry is not None and entry[0] == generation:
                 program = entry[1]
-            else:
+                if program is None or program.failed:
+                    return None
+                self._hits += 1
+                return program
+            if entry is None:
                 self._misses += 1
-                program = None
-            self._stacked.pop(key, None)
-        if program is not None:
-            try:
-                program.refresh(modules)
-            except ValueError:  # structure drift; rebuild below
-                program = None
-        if program is None:
+            else:
+                self._invalidations += 1
+                del self._programs[key]
+        if len(modules) == 1:
+            program = (nn.tape.ScoreTape(first, shape)
+                       if nn.tape.module_tape_safe(first) else None)
+        else:
             try:
                 program = nn_batched.StackedScoreProgram(modules, shape)
             except ValueError:  # the members do not stack
                 program = None
         with self._lock:
-            if len(self._stacked) >= self._MAX_STACKED:
-                self._stacked.pop(next(iter(self._stacked)))
-            self._stacked[key] = (token, program)
+            if len(self._programs) >= self._MAX_PROGRAMS:
+                self._programs.pop(next(iter(self._programs)))
+            self._programs[key] = (generation, program)
         return program
 
     def score_batch(self, detectors, kind, scaled):
@@ -365,19 +364,10 @@ class InferencePrograms:
             det.model_ if kind == "rae" else det._f2 for det in detectors
         ]
         tensor = np.ascontiguousarray(scaled.transpose(0, 2, 1))  # (S, D, C)
-        first = modules[0]
-        if all(module is first for module in modules):
-            tape, event = nn.tape.score_tape(first, tensor.shape)
-            self._count(event)
-            if tape is None:
-                return None
-            recon = tape.run(tensor)
-        else:
-            fingerprint = architecture_fingerprint(detectors[0], kind)
-            program = self._stacked_program(fingerprint, modules, tensor.shape)
-            if program is None:
-                return None
-            recon = program.run(tensor)
+        program = self._program(modules, tensor.shape)
+        if program is None:
+            return None
+        recon = program.run(tensor)
         clean = recon.transpose(0, 2, 1)                 # (S, C, D)
         residual = scaled - clean
         pairs = [

@@ -15,7 +15,8 @@ member's structure and stacking every parameter.  Two callers use it:
 * **Serving** (:class:`repro.core.scoring.InferencePrograms`):
   :class:`StackedScoreProgram` owns a stacked copy of M fitted detectors'
   serving modules and one :class:`repro.nn.tape.ScoreTape` recorded over
-  it, so one replay scores M window slices.
+  it, so one replay scores M window slices.  The program is immutable: the
+  serving cache builds a new one when a member's weights are rebound.
 
 Bit-identity to the per-member computation is a hard contract (stacking
 changes wall-clock, never results).  Slice ``m`` of every member-axis conv
@@ -48,12 +49,12 @@ __all__ = [
     "stacked_member_token",
 ]
 
-#: O(1) identity token of the member modules and the weights generation.
-#: A cached :class:`StackedScoreProgram` holds *copies* of the member
-#: weights, so it is refreshed whenever the token changes: a membership
-#: change, a parameter's ``.data`` rebound anywhere (the versioned-swap
-#: convention: rebind ``.data``, don't mutate a live fitted module in
-#: place), or a module constructed anywhere.
+#: O(1) identity token of the member modules and the weights generation:
+#: ``(member ids, generation)``.  The serving cache keys programs by the
+#: ids and rebuilds one when the generation moves.  A
+#: :class:`StackedScoreProgram` holds *copies* of the member weights, so
+#: hot-swap by rebinding a parameter's ``.data`` (which moves the
+#: generation), never by mutating a live fitted module in place.
 stacked_member_token = nn_tape.weights_token
 
 
@@ -214,7 +215,7 @@ class StackedScoreProgram:
     desynchronises the program from its members silently (the
     ``stacked-weight-mutation`` lint rule flags it).  Hot-swap member
     weights by rebinding ``.data``; :func:`stacked_member_token` changes
-    and the owning cache calls :meth:`refresh`.
+    and the owning cache builds a new program from the new weights.
     """
 
     #: The stacked module the recorded tape reads; mutating it outside
@@ -240,6 +241,12 @@ class StackedScoreProgram:
     def replays(self):
         return self._tape.replays
 
+    @property
+    def failed(self):
+        """Why the recording is not replayable, or None (see
+        :attr:`repro.nn.tape.ScoreTape.failed`)."""
+        return self._tape.failed
+
     def run(self, batch):
         """The stacked reconstruction of ``batch`` (shape ``(M, C_in, L)``).
 
@@ -247,27 +254,6 @@ class StackedScoreProgram:
         the next ``run``.  The first call records; replays are serialised
         by the tape's lock."""
         return self._tape.run(batch)
-
-    def refresh(self, modules):
-        """Re-copy member weights after a hot-swap or membership change.
-
-        Raises when the new members no longer match the compiled structure
-        (e.g. a swapped-in weight of a different shape) — the owning cache
-        then rebuilds or declines, it never replays stale weights.
-        """
-        modules = list(modules)
-        if len(modules) != self.n_members:
-            raise ValueError("member count changed since compile")
-        stacked = list(self.stacked.named_parameters())
-        layout = [(name, p.data.shape[1:]) for name, p in stacked]
-        named = [list(module.named_parameters()) for module in modules]
-        for module, params in zip(modules, named):
-            if (type(module) is not type(self.stacked)
-                    or [(name, p.data.shape) for name, p in params] != layout):
-                raise ValueError("member structure changed since compile")
-        for row, params in enumerate(named):
-            for (__, target), (__, param) in zip(stacked, params):
-                np.copyto(target.data[row], param.data)
 
     def __repr__(self):
         return "StackedScoreProgram(members=%d, replays=%d)" % (

@@ -46,12 +46,14 @@ shape)`` and replays just the op closures with persistent output buffers;
 because recording runs *inside* ``no_grad()``/``stable_kernels()``, the
 closures bake in the length-stable serving arithmetic and replay it
 bit-identically.  It is the one compiled inference mechanism: a solo
-module's tape comes from :func:`score_tape`, the shape-keyed per-module
-cache (invalidated when :func:`weights_token` changes: a parameter's
-``.data`` rebound, or a module constructed), and a cross-detector group's
-from :class:`repro.nn.batched.StackedScoreProgram`, which records one over a
-member-stacked module.  The compiled serving path honours the same
-``REPRO_EAGER`` opt-out as the training tape.
+module's forward is a :class:`ScoreTape` over the module, and a
+cross-detector group's is a :class:`repro.nn.batched.StackedScoreProgram`,
+which records one over a member-stacked module.  Neither is cached here:
+:class:`repro.core.InferencePrograms` keeps both in one per-router cache
+keyed by member ids and input shape, and rebuilds a program when
+:func:`weights_token` says the weights generation moved (a parameter's
+``.data`` rebound, or a module constructed).  The compiled serving path
+honours the same ``REPRO_EAGER`` opt-out as the training tape.
 """
 
 from __future__ import annotations
@@ -80,9 +82,7 @@ __all__ = [
     "tape_enabled",
     "set_tape_enabled",
     "ScoreTape",
-    "score_tape",
     "weights_token",
-    "release_score_tapes",
 ]
 
 # Process-wide opt-out: REPRO_EAGER=1 (or set_tape_enabled(False) / the CLI
@@ -425,26 +425,16 @@ def release_tapes(model):
     and kernel scratch array of one training graph alive — tens of MB for a
     long-series fit.  Training loops that keep their fitted model around
     (RAE/RDAE store it for scoring and persistence) call this once the fit
-    finishes; the next fit simply re-records.  Recorded *score* tapes are
-    dropped too — a post-fit module has new weights per fit, so stale
-    inference recordings must not outlive the fit either.  The
-    ``_tape_safe`` verdict is kept — it is a property of the module
-    structure, not of a recording.
+    finishes; the next fit simply re-records.  The ``_tape_safe`` verdict
+    is kept — it is a property of the module structure, not of a
+    recording.
     """
     model.__dict__.pop("_tape_cache", None)
-    model.__dict__.pop("_score_tape_cache", None)
 
 
 # --------------------------------------------------------------------- #
 # grad-free inference tapes (the compiled scoring path)
 # --------------------------------------------------------------------- #
-
-#: Maximum recorded score tapes kept per module (distinct input shapes).
-#: Serving slices come in a handful of aligned lengths (full window, the
-#: receptive-field tail, the splice head), so a small bound fits the
-#: working set while still evicting pathological shape churn.
-_MAX_SCORE_TAPES_PER_MODULE = 6
-
 
 def weights_token(modules):
     """O(1) identity token of ``modules`` and the weights they hold.
@@ -455,9 +445,9 @@ def weights_token(modules):
     re-recording.  *Rebinding* any parameter's ``.data`` to a different
     array (weight hot-swap via assignment, ``load_state_dict``),
     constructing any module, or changing the member list changes it
-    (see :func:`repro.nn.layers.weights_generation`), which invalidates a
-    score tape's recording and refreshes a stacked program's weight
-    copies.  The generation is process-wide, so one hot-swap refreshes
+    (see :func:`repro.nn.layers.weights_generation`), and the serving
+    cache (:class:`repro.core.InferencePrograms`) then rebuilds the
+    program.  The generation is process-wide, so one hot-swap rebuilds
     every cached program once; the check itself never walks a parameter.
     """
     return tuple(map(id, modules)), layers.weights_generation()
@@ -476,9 +466,9 @@ class ScoreTape:
     by construction, not by approximation.
 
     Replays are serialised by an internal lock: a tape's buffers are
-    shared mutable state, and two threads may reach the same module's
-    tape (e.g. two routers serving one detector, drained from different
-    frontend threads; replays are short, so contention is rare).
+    shared mutable state, and two threads may reach the same tape (e.g.
+    sessions sharing one :class:`repro.core.InferencePrograms`, refreshed
+    from different threads; replays are short, so contention is rare).
     """
 
     def __init__(self, module, shape):
@@ -555,52 +545,3 @@ class ScoreTape:
             else "unrecorded"
         )
         return "ScoreTape(ops=%d, %s)" % (len(self._nodes), state)
-
-
-def score_tape(module, shape):
-    """The cached :class:`ScoreTape` for ``(module, input shape)``.
-
-    Returns ``(tape, event)``.  ``tape`` is None when the compiled path
-    must decline — tape compilation disabled (``REPRO_EAGER``), the module
-    not structurally replayable, or this recording poisoned — and the
-    caller falls back to the eager stable forward.  ``event`` reports what
-    the cache did (``"hit"``/``"miss"``/``"invalidated"``) for the
-    serving layer's program-cache counters, or None when the lookup never
-    consulted the cache; an ``"invalidated"`` event means the weights
-    generation moved since the recording (a parameter's ``.data`` rebound
-    or a module constructed, anywhere), which re-records.
-    """
-    if not _ENABLED[0]:
-        return None, None
-    state = module.__dict__
-    safe = state.get("_tape_safe")
-    if safe is None:
-        safe = state["_tape_safe"] = module_tape_safe(module)
-    if not safe:
-        return None, None
-    cache = state.get("_score_tape_cache")
-    if cache is None:
-        cache = state["_score_tape_cache"] = {}
-    token = weights_token((module,))
-    key = tuple(int(d) for d in shape)
-    entry = cache.get(key)
-    event = "hit"
-    if entry is not None and entry[0] != token:
-        cache.pop(key, None)
-        entry = None
-        event = "invalidated"
-    if entry is None:
-        if event == "hit":
-            event = "miss"
-        if len(cache) >= _MAX_SCORE_TAPES_PER_MODULE:
-            cache.pop(next(iter(cache)))
-        entry = cache[key] = (token, ScoreTape(module, key))
-    tape = entry[1]
-    if tape.failed:
-        return None, event
-    return tape, event
-
-
-def release_score_tapes(model):
-    """Drop ``model``'s recorded inference tapes (buffers included)."""
-    model.__dict__.pop("_score_tape_cache", None)

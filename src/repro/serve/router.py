@@ -759,9 +759,11 @@ class StreamRouter:
                 "submitted": sum(self._submitted.values()),
                 "scored": sum(self._scored.values()),
                 "dropped": sum(self._dropped.values()),
-                # Compiled-inference program cache: hits/misses are tape
-                # and stacked-program lookups, invalidations are weight
-                # hot-swaps detected at replay time.
+                # Compiled-inference program cache: hits/misses count
+                # lookups of the one (member ids, shape) cache, solo tapes
+                # and stacked programs alike; invalidations count lookups
+                # that found the weights generation moved (a hot-swap or
+                # a module built) and rebuilt the program.
                 "program_cache": dict(self._prog_counters),
                 "per_stream": {
                     stream_id: self._stream_stats_locked(stream_id)

@@ -2,23 +2,27 @@
 
 The serving-level contract (bit-identical compiled drains) lives in
 ``tests/serve/test_compiled_drain.py``; these tests pin the building
-blocks directly: :class:`repro.nn.tape.ScoreTape` record/replay,
-shape-keyed caching with hot-swap invalidation, the O(1) weights token,
-:func:`repro.nn.batched.stack_modules`'s accept/decline decisions,
-and :class:`repro.nn.batched.StackedScoreProgram` replay + refresh.
+blocks directly: :class:`repro.nn.tape.ScoreTape` record/replay, the one
+program cache of :class:`repro.core.InferencePrograms` (shape-keyed
+lookups, hot-swap invalidation, poisoned recordings, its bound), the O(1)
+weights token, :func:`repro.nn.batched.stack_modules`'s accept/decline
+decisions, and :class:`repro.nn.batched.StackedScoreProgram` replay.
 """
+
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.core import RAE
+from repro.core import RAE, InferencePrograms, scoring
 from repro.core.autoencoders import ConvSeriesAE, ConvTransform1d
-from repro.nn import Adam, Conv1d
+from repro.nn import Adam, Conv1d, Module
 from repro.nn import batched as nnbatched
 from repro.nn import no_grad
 from repro.nn import tape as nntape
 from repro.nn.functional import stable_kernels
-from repro.nn.tensor import Tensor
+from repro.nn.tensor import Tensor, _poison_tape
+from repro.rpca import apply_prox
 
 
 def fitted_models(count=2, **kwargs):
@@ -47,8 +51,7 @@ def batch(seed=3, m=2, dims=1, length=48):
 def test_score_tape_records_then_replays_bit_identically():
     module, = fitted_models(count=1)
     x = batch(m=1)
-    tape, event = nntape.score_tape(module, x.shape)
-    assert event == "miss" and tape is not None
+    tape = nntape.ScoreTape(module, x.shape)
     recorded = tape.run(x).copy()          # first run records
     assert np.array_equal(recorded, eager_forward(module, x))
     y = batch(seed=4, m=1)
@@ -57,44 +60,113 @@ def test_score_tape_records_then_replays_bit_identically():
     assert np.array_equal(replayed, eager_forward(module, y))
 
 
+# --------------------------------------------------------------------- #
+# the program cache: one (member ids, shape) -> program dict per router
+# --------------------------------------------------------------------- #
+
+def scaled_batch(seed=3, m=1, length=48):
+    """A ``(S, C, D)`` scaled batch, the layout ``score_batch`` takes."""
+    return np.random.default_rng(seed).standard_normal((m, length, 1))
+
+
+def eager_scores(detector, scaled):
+    return scoring._forward_scaled_batch(detector, "rae", scaled, stable=True)
+
+
+def cached_program(programs, modules, shape):
+    ids = tuple(id(module) for module in modules)
+    return programs._programs[(ids, shape)][1]
+
+
 def test_score_tape_cache_is_shape_keyed():
-    module, = fitted_models(count=1)
-    a, __ = nntape.score_tape(module, (1, 1, 48))
-    hit, event = nntape.score_tape(module, (1, 1, 48))
-    assert hit is a and event == "hit"
-    b, event = nntape.score_tape(module, (1, 1, 32))
-    assert event == "miss" and b is not a
+    __, (detector,) = fitted_detectors(count=1)
+    programs = InferencePrograms()
+    programs.score_batch([detector], "rae", scaled_batch())
+    tape = cached_program(programs, [detector.model_], (1, 1, 48))
+    assert isinstance(tape, nntape.ScoreTape)
+    programs.score_batch([detector], "rae", scaled_batch(seed=4))
+    assert cached_program(programs, [detector.model_], (1, 1, 48)) is tape
+    assert programs.take_counters() == {
+        "hits": 1, "misses": 1, "invalidations": 0,
+    }
+    programs.score_batch([detector], "rae", scaled_batch(length=32))
+    assert programs.take_counters() == {
+        "hits": 0, "misses": 1, "invalidations": 0,
+    }
 
 
 def test_score_tape_invalidates_on_weight_rebind():
-    module, = fitted_models(count=1)
-    x = batch(m=1)
-    tape, __ = nntape.score_tape(module, x.shape)
-    tape.run(x)
+    __, (detector,) = fitted_detectors(count=1)
+    module = detector.model_
+    programs = InferencePrograms()
+    x = scaled_batch()
+    programs.score_batch([detector], "rae", x)
+    tape = cached_program(programs, [module], (1, 1, 48))
     # In-place updates keep the token (closures read .data live) ...
     np.copyto(module.readout.weight.data, module.readout.weight.data * 1.5)
-    same, event = nntape.score_tape(module, x.shape)
-    assert same is tape and event == "hit"
-    assert np.array_equal(same.run(x), eager_forward(module, x))
-    # ... a rebind (atomic hot-swap) re-records.
+    scores = programs.score_batch([detector], "rae", x)
+    assert cached_program(programs, [module], (1, 1, 48)) is tape
+    assert np.array_equal(scores, eager_scores(detector, x))
+    assert programs.take_counters()["hits"] == 1
+    # ... a rebind (atomic hot-swap) rebuilds and re-records.
     module.readout.weight.data = module.readout.weight.data * 2.0
-    fresh, event = nntape.score_tape(module, x.shape)
-    assert event == "invalidated" and fresh is not tape
-    assert np.array_equal(fresh.run(x), eager_forward(module, x))
+    scores = programs.score_batch([detector], "rae", x)
+    assert programs.take_counters() == {
+        "hits": 0, "misses": 0, "invalidations": 1,
+    }
+    assert cached_program(programs, [module], (1, 1, 48)) is not tape
+    assert np.array_equal(scores, eager_scores(detector, x))
 
 
-def test_score_tape_declines_when_disabled_and_releases():
-    module, = fitted_models(count=1)
-    nntape.score_tape(module, (1, 1, 48))
-    assert "_score_tape_cache" in module.__dict__
-    nntape.release_score_tapes(module)
-    assert "_score_tape_cache" not in module.__dict__
+def test_score_tape_cache_declines_when_disabled():
+    __, (detector,) = fitted_detectors(count=1)
+    programs = InferencePrograms()
     previous = nntape.set_tape_enabled(False)
     try:
-        tape, event = nntape.score_tape(module, (1, 1, 48))
-        assert tape is None and event is None
+        assert programs.score_batch([detector], "rae", scaled_batch()) is None
     finally:
         nntape.set_tape_enabled(previous)
+    assert programs.counters() == {
+        "hits": 0, "misses": 0, "invalidations": 0,
+    }
+
+
+class PoisoningConv(Module):
+    """A tape-safe module whose forward poisons any recording of it."""
+
+    tape_safe = True
+
+    def __init__(self, rng):
+        super().__init__()
+        self.conv = Conv1d(1, 1, 3, rng=rng)
+
+    def forward(self, x):
+        _poison_tape("test: bakes run-time data into the graph")
+        return self.conv(x)
+
+
+def test_cache_declines_a_poisoned_stacked_recording():
+    members = [
+        SimpleNamespace(model_=PoisoningConv(np.random.default_rng(seed)),
+                        lam=0.1, prox="l1")
+        for seed in range(2)
+    ]
+    programs = InferencePrograms()
+    x = scaled_batch(m=2)
+    # The recording run is an eager forward, so its scores are right ...
+    scores = programs.score_batch(members, "rae", x)
+    modules = [member.model_ for member in members]
+    assert cached_program(programs, modules, (2, 1, 48)).failed
+    recon = np.concatenate([
+        eager_forward(module, x[i:i + 1].transpose(0, 2, 1))
+        for i, module in enumerate(modules)
+    ]).transpose(0, 2, 1)
+    residual = x - recon
+    outlier = apply_prox(residual, 0.1, "l1")
+    expected = (outlier**2).sum(axis=2) + 1e-9 * (residual**2).sum(axis=2)
+    assert np.array_equal(scores, expected)
+    # ... but the poisoned program never replays.
+    assert programs.score_batch(members, "rae", x) is None
 
 
 # --------------------------------------------------------------------- #
@@ -103,11 +175,12 @@ def test_score_tape_declines_when_disabled_and_releases():
 
 def test_stack_modules_accepts_same_spec_members():
     modules = fitted_models(count=3)
-    # A member's recorded score tape holds a lock; stacking must not copy it.
-    nntape.score_tape(modules[0], (1, 1, 48))[0].run(batch(m=1))
+    # A member's recorded tapes belong to it; stacking must not copy them.
+    x = batch(m=1)
+    nntape.training_tape(modules[0], x, x).step(x, x)
     stacked = nnbatched.stack_modules(modules)
-    assert "_score_tape_cache" not in stacked.__dict__
-    assert "_score_tape_cache" in modules[0].__dict__
+    assert "_tape_cache" not in stacked.__dict__
+    assert "_tape_cache" in modules[0].__dict__
     names = [name for name, __ in modules[0].named_parameters()]
     assert [name for name, __ in stacked.named_parameters()] == names
     for j, module in enumerate(modules):
@@ -164,20 +237,6 @@ def test_stacked_program_matches_solo_across_architectures(arch, length):
                                   eager_forward(module, x[j:j + 1])[0])
 
 
-def test_stacked_program_refresh_follows_hot_swap():
-    modules = fitted_models(count=2)
-    x = batch(m=2)
-    program = nnbatched.StackedScoreProgram(modules, x.shape)
-    program.run(x)
-    before = nnbatched.stacked_member_token(modules)
-    modules[0].readout.weight.data = modules[0].readout.weight.data * 3.0
-    assert nnbatched.stacked_member_token(modules) != before
-    program.refresh(modules)
-    stacked = program.run(x).copy()
-    for j, module in enumerate(modules):
-        assert np.array_equal(stacked[j], eager_forward(module, x[j:j + 1])[0])
-
-
 def test_stacked_program_rejects_wrong_member_count():
     modules = fitted_models(count=2)
     with pytest.raises(ValueError):
@@ -190,13 +249,11 @@ def test_stacked_program_rejects_wrong_member_count():
         with pytest.raises(ValueError):
             program.run(batch(m=1))
         program.run(batch(m=2))
-    with pytest.raises(ValueError):
-        program.refresh(modules[:1])
 
 
 def test_score_tape_rejects_mis_shaped_input():
     module, = fitted_models(count=1)
-    tape, __ = nntape.score_tape(module, (2, 1, 48))
+    tape = nntape.ScoreTape(module, (2, 1, 48))
     for __ in range(2):                    # before and after recording
         with pytest.raises(ValueError):
             tape.run(batch(m=1))

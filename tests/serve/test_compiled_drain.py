@@ -170,6 +170,84 @@ def test_steady_state_drains_walk_no_parameters_and_snapshot_nothing(
     assert after["invalidations"] == before["invalidations"]
 
 
+def paired_routers(detectors, window):
+    """A compiled and an eager router over the same detector objects."""
+    routers = []
+    for __ in range(2):
+        router = StreamRouter(window=window, min_points=2)
+        for index, detector in enumerate(detectors):
+            router.add_stream("s%d" % index, detector)
+        routers.append(router)
+    return routers
+
+
+def drain_paired(routers, chunks):
+    """Submit ``chunks`` to both routers, drain the first compiled and the
+    second eager, and assert the drains are bit-equal."""
+    drained = []
+    for router, compiled in zip(routers, (True, False)):
+        for sid, chunk in chunks.items():
+            router.submit_many(sid, chunk)
+        previous = nntape.set_tape_enabled(compiled)
+        try:
+            drained.append(router.drain())
+        finally:
+            nntape.set_tape_enabled(previous)
+    compiled, eager = drained
+    assert set(compiled) == set(eager) == set(chunks)
+    for sid in compiled:
+        assert np.array_equal(compiled[sid], eager[sid]), sid
+
+
+def test_member_subset_churn_keeps_each_subsets_program():
+    """Drains that alternate which two of four same-spec shards get an
+    arrival stack equal slice shapes from different members.  Programs are
+    keyed by member ids, so each subset keeps its own: swapping subsets
+    changes no weight and invalidates nothing, and the churned drains
+    hit.  Scores stay bit-equal to an eager router."""
+    routers = paired_routers(fitted_fleet("RAE", count=4), window=32)
+    rng = np.random.default_rng(11)
+
+    def arrivals(indices, rows):
+        return {"s%d" % i: rng.standard_normal((rows, 1)) for i in indices}
+
+    for __ in range(3):                    # warm: every window full
+        drain_paired(routers, arrivals(range(4), 16))
+    subsets = [(0, 1), (2, 3)]
+    for rounds in range(8):                # compile each (subset, shape)
+        drain_paired(routers, arrivals(subsets[rounds % 2], 1))
+    before = routers[0].stats()["program_cache"]
+    for rounds in range(16):
+        drain_paired(routers, arrivals(subsets[rounds % 2], 1))
+    after = routers[0].stats()["program_cache"]
+    assert after["invalidations"] == 0
+    assert after["hits"] > before["hits"]
+    assert routers[1].stats()["program_cache"] == {
+        "hits": 0, "misses": 0, "invalidations": 0,
+    }
+
+
+def test_router_program_cache_is_bounded():
+    """Drains that produce more distinct (module, shape) keys than
+    ``InferencePrograms._MAX_PROGRAMS`` leave at most that many programs
+    cached, and scores stay bit-equal to an eager router after the
+    evictions."""
+    bound = InferencePrograms._MAX_PROGRAMS
+    routers = paired_routers(fitted_fleet("RAE", count=4), window=96)
+    rng = np.random.default_rng(1)
+    for step in range(70):
+        for index in range(4):
+            # One stream per drain, 1..7 arrivals: solo keys whose slice
+            # lengths wander as the windows fill and slide.
+            rows = 1 + (step + index) % 7
+            drain_paired(routers,
+                         {"s%d" % index: rng.standard_normal((rows, 1))})
+            assert len(routers[0]._programs._programs) <= bound
+    cache = routers[0].stats()["program_cache"]
+    assert cache["misses"] > bound
+    assert cache["invalidations"] == 0
+
+
 # --------------------------------------------------------------------- #
 # cross-detector grouping (the id() -> fingerprint re-key)
 # --------------------------------------------------------------------- #
