@@ -14,6 +14,9 @@ Three claims are measured (and the raw numbers recorded under
    fits an identical-spec 8-member group as one leading-axis-batched tape
    program, >=2x faster than the threaded member fits on one core and
    bit-identical to them (the identity is asserted on every host).
+5. ``RDAE().fit`` at paper defaults — the 2D-conv lagged-matrix fit — is
+   bit-identical with and without the tape; both times are recorded (no
+   ratio is asserted).
 
 Context for the speedup floors: this PR also rewrote the conv1d/conv2d
 kernels from im2col einsum to per-tap GEMM, which made *eager* fits ~2-3x
@@ -38,12 +41,13 @@ import pytest
 from _records import TINY, record_result
 
 from repro import nn
-from repro.core import RAE, RobustEnsemble
+from repro.core import RAE, RDAE, RobustEnsemble
 from repro.core.autoencoders import ConvSeriesAE, train_reconstruction
 from repro.nn import tape as nntape
 
 LENGTH = 1_200 if TINY else 10_000
 STEP_LENGTH = 800 if TINY else 5_000
+RDAE_LENGTH = 120 if TINY else 200
 FIT_ITERATIONS = 2 if TINY else 6
 ROUNDS = 1 if TINY else 3
 
@@ -162,6 +166,43 @@ def test_rae_fit_tape_speedup_and_bit_identity():
         assert speedup >= 1.1, (
             "tape-compiled RAE fit only %.2fx faster than eager" % speedup
         )
+
+
+@pytest.mark.slow
+def test_rdae_fit_tape_bit_identity_and_seconds():
+    """Paper-default RDAE().fit on a short series, tape against eager.
+
+    Most of this fit is conv2d forward and backward over the (window x
+    columns) lagged matrix, so its seconds track the conv2d kernel.  The
+    fits must agree bit for bit; the seconds are recorded, not asserted."""
+    series = make_series(4, RDAE_LENGTH)
+
+    def fit():
+        detector = RDAE(max_outer=2) if TINY else RDAE()
+        started = time.perf_counter()
+        detector.fit(series)
+        return time.perf_counter() - started, detector
+
+    _with_tape(True, fit)  # warm caches/BLAS before timing
+    eager_s, tape_s = [], []
+    for __ in range(ROUNDS):
+        elapsed, eager_det = _with_tape(False, fit)
+        eager_s.append(elapsed)
+        elapsed, tape_det = _with_tape(True, fit)
+        tape_s.append(elapsed)
+
+    assert np.array_equal(eager_det.score(series), tape_det.score(series))
+    assert np.array_equal(eager_det.clean_series, tape_det.clean_series)
+    assert np.array_equal(eager_det.outlier_series, tape_det.outlier_series)
+    assert eager_det.trace_.rmse == tape_det.trace_.rmse
+
+    eager, tape = float(np.median(eager_s)), float(np.median(tape_s))
+    print("\nRDAE(paper-default).fit on %d points: eager %.3f s, tape %.3f s "
+          "(bit-identical)" % (RDAE_LENGTH, eager, tape))
+    record_result(RESULTS_FILE, "rdae_fit", {
+        "length": RDAE_LENGTH, "eager_s": eager, "tape_s": tape,
+        "speedup": eager / max(tape, 1e-12),
+    })
 
 
 def _time_ensemble_pair(length, members, iterations):

@@ -5,9 +5,11 @@ per kernel tap to BLAS GEMMs on strided views (no im2col materialisation:
 each tap is a ``(C_out, C_in) @ (C_in, L_out)`` product accumulated in fixed
 tap order), which profiles 2-4x faster than the previous im2col ``einsum``
 formulation on the channel counts the paper's architectures use.  conv2d
-keeps the im2col ``einsum`` (its fused spatial window makes per-tap slices
-non-contiguous, so GEMM would pay a copy per tap).  Backward passes scatter
-gradients back with strided in-place adds.
+runs the same per-tap GEMMs on the flattened row-major grid ("flat
+shift"): tap ``(i, j)`` is a contiguous slice at offset ``i*W + j``, so each
+tap is one GEMM over every output row at once, and the wrap-around columns
+are cropped.  Backward passes scatter gradients back with strided in-place
+adds.
 
 Every op builds a replayable ``forward(out=None)`` closure (see
 :mod:`repro.nn.tensor`): eager execution calls it once, the training tape
@@ -288,9 +290,15 @@ def conv1d(x, weight, bias=None, padding=0):
                 tmp = gtmp_buf[0] = np.empty((n, c_in, l_out))
             # Scatter each kernel tap back onto the input axis:
             # (C_in, C_out) @ (C_out, L_out) added into a strided slice.
+            # C_out == 1 (the readout) makes that a K=1 outer product: a
+            # broadcast multiply computes the same single products faster.
             for tap in range(k):
-                np.matmul(np.swapaxes(weight.data[..., tap], -1, -2), grad,
-                          out=tmp)
+                if c_out == 1:
+                    np.multiply(weight.data[..., 0, :, tap][..., None], grad,
+                                out=tmp)
+                else:
+                    np.matmul(np.swapaxes(weight.data[..., tap], -1, -2),
+                              grad, out=tmp)
                 target = gx[:, :, tap : tap + l_out]
                 np.add(target, tmp, out=target)
             # gx is this closure's scratch: untouched until the op's next
@@ -321,69 +329,94 @@ def conv2d(x, weight, bias=None, padding=0):
     if h < kh or w < kw:
         raise ValueError("input %s smaller than kernel %s" % ((h, w), (kh, kw)))
     h_out, w_out = h - kh + 1, w - kw + 1
+    # Flat shift: on the row-major (H, W) grid, tap (i, j) of output (r, c)
+    # reads flat index r*W + c + (i*W + j).  Over the flat "wide" output
+    # grid (H_out, W) every tap is then one contiguous slice of length
+    # ``span``; the wrap columns c >= W_out mix neighbouring rows and are
+    # cropped (forward) or held at zero (backward).
+    span = (h_out - 1) * w + w_out
+    offsets = [(i, j, i * w + j) for i in range(kh) for j in range(kw)]
+    wide = [None]
     scratch = [None]
 
     def forward(out=None):
-        # Per-tap batched GEMM, like conv1d: for each kernel offset (i, j),
-        # (C_out, C_in) @ (C_in, W_out) batched over (N, H_out) row views —
-        # BLAS takes the strided operands directly, so no im2col copy.
-        # Profiles ~5x faster than the previous im2col einsum at the
-        # lagged-matrix shapes RDAE trains on; tap order is fixed, so the
-        # accumulation is deterministic.
+        # One (C_out, C_in) @ (C_in, span) GEMM per tap — batched over N
+        # only, so the call count is kh*kw whatever H — accumulated in
+        # fixed tap order.  C_in == 1 makes it an outer product, which a
+        # broadcast multiply does faster than a K=1 GEMM.
+        acc = wide[0]
+        if acc is None:
+            acc = wide[0] = np.empty((n, c_out, h_out, w))
+            scratch[0] = np.empty((n, c_out, span))
         tmp = scratch[0]
-        if tmp is None or tmp.shape != (n, h_out, c_out, w_out):
-            tmp = scratch[0] = np.empty((n, h_out, c_out, w_out))
+        acc_flat = acc.reshape(n, c_out, h_out * w)[:, :, :span]
+        xf = x.data.reshape(n, c_in, h * w)  # copies only a strided input
+        for tap, (i, j, off) in enumerate(offsets):
+            dest = acc_flat if tap == 0 else tmp
+            if c_in == 1:
+                np.multiply(xf[:, :, off : off + span],
+                            weight.data[:, 0, i, j][:, None], out=dest)
+            else:
+                np.matmul(weight.data[:, :, i, j], xf[:, :, off : off + span],
+                          out=dest)
+            if tap:
+                np.add(acc_flat, tmp, out=acc_flat)
         if out is None:
             out = np.empty((n, c_out, h_out, w_out))
-        result_rows = out.transpose(0, 2, 1, 3)  # (N, H_out, C_out, W_out) view
-        first = True
-        for i in range(kh):
-            rows = x.data[:, :, i : i + h_out, :].transpose(0, 2, 1, 3)
-            for j in range(kw):
-                np.matmul(weight.data[:, :, i, j], rows[:, :, :, j : j + w_out],
-                          out=tmp)
-                if first:
-                    result_rows[...] = tmp
-                    first = False
-                else:
-                    np.add(result_rows, tmp, out=result_rows)
-        if bias is not None:
-            out += bias.data[None, :, None, None]
+        cropped = acc[:, :, :, :w_out]
+        if bias is None:
+            np.copyto(out, cropped)
+        else:
+            np.add(cropped, bias.data[None, :, None, None], out=out)
         return out
 
     parents = (x, weight) if bias is None else (x, weight, bias)
+    gwide = [None]
     gx_buf = [None]
     gscratch = [None]
 
     def backward(grad):
+        # Place grad once on the wide grid; its wrap columns stay zero from
+        # allocation, so the garbage the forward cropped contributes nothing.
+        g = gwide[0]
+        if g is None:
+            g = gwide[0] = np.zeros((n, c_out, h_out, w))
+        g[:, :, :, :w_out] = grad
+        g_flat = g.reshape(n, c_out, h_out * w)[:, :, :span]
         if weight.requires_grad:
-            gw = np.empty_like(weight.data)
-            gflat = grad.reshape(n, c_out, h_out * w_out)
-            for i in range(kh):
-                for j in range(kw):
-                    xsl = x.data[:, :, i : i + h_out, j : j + w_out]
-                    xflat = xsl.reshape(n, c_in, h_out * w_out)
-                    r = np.matmul(gflat, xflat.transpose(0, 2, 1))  # (N, F, C)
-                    gw[:, :, i, j] = r.sum(axis=0) if n > 1 else r[0]
-            weight._accumulate_owned(gw)
+            xf = x.data.reshape(n, c_in, h * w)
+            # (C_out, span) @ (span, C_in) per tap, into a tap-major buffer
+            # so every GEMM writes a contiguous (C_out, C_in) block.
+            taps = np.empty((kh, kw, c_out, c_in))
+            for i, j, off in offsets:
+                xs = np.swapaxes(xf[:, :, off : off + span], -1, -2)
+                if n == 1:
+                    np.matmul(g_flat[0], xs[0], out=taps[i, j])
+                else:
+                    np.matmul(g_flat, xs).sum(axis=0, out=taps[i, j])
+            weight._accumulate_owned(np.ascontiguousarray(
+                taps.transpose(2, 3, 0, 1)))
         if bias is not None and bias.requires_grad:
             bias._accumulate(grad.sum(axis=(0, 2, 3)))
         if x.requires_grad:
             gx = gx_buf[0]
-            if gx is None or gx.shape != x.data.shape:
-                gx = gx_buf[0] = np.zeros_like(x.data)
+            if gx is None:
+                gx = gx_buf[0] = np.zeros((n, c_in, h, w))
+                gscratch[0] = np.empty((n, c_in, span))
             else:
                 gx.fill(0.0)
             tmp = gscratch[0]
-            if tmp is None or tmp.shape != (n, h_out, c_in, w_out):
-                tmp = gscratch[0] = np.empty((n, h_out, c_in, w_out))
-            grad_rows = grad.transpose(0, 2, 1, 3)  # (N, H_out, C_out, W_out)
-            for i in range(kh):
-                for j in range(kw):
-                    np.matmul(weight.data[:, :, i, j].T, grad_rows, out=tmp)
-                    target = gx[:, :, i : i + h_out, j : j + w_out]
-                    target = target.transpose(0, 2, 1, 3)
-                    np.add(target, tmp, out=target)
+            gx_flat = gx.reshape(n, c_in, h * w)
+            # One contiguous scatter-add per tap: (C_in, C_out) @ (C_out,
+            # span), or a broadcast multiply when C_out == 1.
+            for i, j, off in offsets:
+                if c_out == 1:
+                    np.multiply(g_flat, weight.data[0, :, i, j][:, None],
+                                out=tmp)
+                else:
+                    np.matmul(weight.data[:, :, i, j].T, g_flat, out=tmp)
+                target = gx_flat[:, :, off : off + span]
+                np.add(target, tmp, out=target)
             x._accumulate_owned(gx)
 
     out = Tensor._make(forward(), parents, backward)

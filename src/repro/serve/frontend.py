@@ -80,6 +80,7 @@ class FrontendEngine:
         "_emitted": "_lock",
         "_errors": "_lock",
         "_dropped_seen": "_lock",
+        "_drops_seen_total": "_lock",
         "_failed": "_lock",
         "_pending": "_lock",
         "_unrouted": "_lock",
@@ -89,11 +90,13 @@ class FrontendEngine:
         self.router = router
         self.drain_every = max(int(drain_every), 1)
         self._lock = threading.Lock()
+        self._drain_lock = threading.Lock()  # taken before _lock
         self._sinks = {}  # origin -> callable(rows)
         self._segments = {}  # stream_id -> deque of [origin, count]
         self._emitted = {}  # stream_id -> next output index
         self._errors = {}  # stream_id -> malformed/rejected submissions
         self._dropped_seen = {}  # stream_id -> router drop count reconciled
+        self._drops_seen_total = 0  # router drop total at the last reconcile
         self._failed = {}  # stream_id -> last drain failure (str)
         self._pending = 0  # engine-submitted arrivals not yet drained
         self._unrouted = 0  # scores with no owning origin (pre-engine queue)
@@ -195,31 +198,55 @@ class FrontendEngine:
         failing streams' arrivals (so their segments stay, aligned for the
         retry) and the failures are surfaced through :meth:`stats`.
         """
-        try:
-            results = self.router.drain()
-            failures = {}
-        except DrainError as exc:
-            results, failures = exc.results, exc.failures
-        stats = self.router.stats()
-        per_stream = stats["per_stream"]
+        # One drain at a time from pop to attribution: scores claim the
+        # front of their streams' segments, so a drain that popped later
+        # must not attribute first.
+        with self._drain_lock:
+            try:
+                results = self.router.drain()
+                failures = {}
+            except DrainError as exc:
+                results, failures = exc.results, exc.failures
+            deliveries, sinks = self._attribute(results, failures)
+        # Deliver outside the engine lock: a sink is a socket write and
+        # must never block other producers' submissions.
+        for origin, rows in deliveries.items():
+            sink = sinks.get(origin)
+            if sink is None:
+                continue
+            try:
+                sink(rows)
+            except Exception:  # noqa: BLE001 - a dead client loses only
+                pass  # its own rows; the frontend unregisters it on exit
+        return deliveries
+
+    def _attribute(self, results, failures):
+        """Split a drain's scores by origin; returns ``(deliveries, sinks)``."""
         deliveries = {}
         with self._lock:
-            self._pending = stats["queue_depth"]
+            # Read the queue depth under the engine lock: submit_rows
+            # counts _pending under it too, so an arrival queued while this
+            # drain ran is either in the depth read here or counted after.
+            self._pending, dropped_total = self.router.queue_counters()
             self._failed = {stream_id: str(exc)
                             for stream_id, exc in failures.items()}
             # Reconcile drop_oldest evictions first: the dropped arrivals
             # were the oldest queued, i.e. the front of their segments.
-            for stream_id, entry in per_stream.items():
-                delta = entry["dropped"] - self._dropped_seen.get(stream_id, 0)
-                if delta:
-                    self._trim_segments_locked(stream_id, delta)
-                self._dropped_seen[stream_id] = entry["dropped"]
+            # The per-stream walk runs only when the drop total moved.
+            if dropped_total != self._drops_seen_total:
+                for stream_id, dropped in self.router.dropped_counts().items():
+                    delta = dropped - self._dropped_seen.get(stream_id, 0)
+                    if delta:
+                        self._trim_segments_locked(stream_id, delta)
+                    self._dropped_seen[stream_id] = dropped
+                self._drops_seen_total = dropped_total
             for stream_id, scores in results.items():
                 start = self._emitted.get(stream_id)
                 if start is None:
                     # First sight of this stream: seed so indices continue
                     # where a previous process (restored router) stopped.
-                    start = per_stream[stream_id]["scored"] - len(scores)
+                    scored = self.router.stream_stats(stream_id)["scored"]
+                    start = scored - len(scores)
                 segments = self._segments.get(stream_id)
                 offset = 0
                 while segments and offset < len(scores):
@@ -241,17 +268,7 @@ class FrontendEngine:
                     self._unrouted += len(scores) - offset
                 self._emitted[stream_id] = start + len(scores)
             sinks = dict(self._sinks)
-        # Deliver outside the engine lock: a sink is a socket write and
-        # must never block other producers' submissions.
-        for origin, rows in deliveries.items():
-            sink = sinks.get(origin)
-            if sink is None:
-                continue
-            try:
-                sink(rows)
-            except Exception:  # noqa: BLE001 - a dead client loses only
-                pass  # its own rows; the frontend unregisters it on exit
-        return deliveries
+        return deliveries, sinks
 
     def _trim_segments_locked(self, stream_id, count):
         segments = self._segments.get(stream_id)

@@ -198,6 +198,7 @@ class StreamRouter:
         "_submitted": "_lock",
         "_scored": "_lock",
         "_dropped": "_lock",
+        "_dropped_total": "_lock",
         "_dims": "_lock",
         "_drains": "_lock",
         "_shards": "_lock",
@@ -232,6 +233,7 @@ class StreamRouter:
         self._submitted = {}
         self._scored = {}
         self._dropped = {}
+        self._dropped_total = 0  # sum of _dropped, kept for O(1) reads
         self._drains = 0
         # _lock guards the queue, counters and shard registry (submit-side
         # state); _drain_lock serialises whole drains.  Lock order: a drain
@@ -336,6 +338,7 @@ class StreamRouter:
                 )
             old_sid, __ = self._queue.popleft()
             self._dropped[old_sid] += 1
+            self._dropped_total += 1
         self._queue.append((stream_id, row))
         self._submitted[stream_id] += 1
 
@@ -690,6 +693,7 @@ class StreamRouter:
             router._submitted[entry["id"]] = entry["submitted"]
             router._scored[entry["id"]] = entry["scored"]
             router._dropped[entry["id"]] = entry["dropped"]
+            router._dropped_total += entry["dropped"]
             if entry.get("dims_seen") is not None:
                 router._dims[entry["id"]] = entry["dims_seen"]
         for stream_id, row in manifest["queue"]:
@@ -741,6 +745,19 @@ class StreamRouter:
         with self._lock:
             return self._stream_stats_locked(stream_id)
 
+    def queue_counters(self):
+        """``(queue_depth, dropped_total)`` in O(1), read under one lock.
+
+        What a frontend reconciles after every drain, without the
+        per-stream walk of :meth:`stats`."""
+        with self._lock:
+            return len(self._queue), self._dropped_total
+
+    def dropped_counts(self):
+        """``{stream_id: dropped}`` for every stream (a copy)."""
+        with self._lock:
+            return dict(self._dropped)
+
     def stats(self):
         """Router-level stats plus a per-stream breakdown.
 
@@ -758,7 +775,7 @@ class StreamRouter:
                 "drains": self._drains,
                 "submitted": sum(self._submitted.values()),
                 "scored": sum(self._scored.values()),
-                "dropped": sum(self._dropped.values()),
+                "dropped": self._dropped_total,
                 # Compiled-inference program cache: hits/misses count
                 # lookups of the one (member ids, shape) cache, solo tapes
                 # and stacked programs alike; invalidations count lookups

@@ -279,3 +279,22 @@ def test_repr_states_progress(tape_on):
     train_reconstruction(model, optimizer, x, epochs=3)
     tape = next(iter(model.__dict__["_tape_cache"].values()))
     assert "replays" in repr(tape)
+
+
+def test_tape_bit_identical_to_eager_on_the_rdae_lagged_grid(tape_on):
+    """ConvMatrixAE at the paper-default RDAE shape (window 50, 151
+    columns): the flat-shift conv2d replays bit for bit, wrap columns and
+    all."""
+    x = np.random.default_rng(0).standard_normal((1, 1, 50, 151))
+
+    def model_fn():
+        return ConvMatrixAE(1, rng=np.random.default_rng(1))
+
+    taped, m_tape = _train(model_fn, x, calls=2, epochs=3)
+    eager, m_eager = _train(model_fn, x, calls=2, epochs=3, enabled=False)
+    for got, want in zip(taped, eager):
+        assert np.array_equal(got, want)
+    for p_t, p_e in zip(m_tape.parameters(), m_eager.parameters()):
+        assert np.array_equal(p_t.data, p_e.data)
+    tape = next(iter(m_tape.__dict__["_tape_cache"].values()))
+    assert tape.recorded and tape.replays > 0 and not tape.failed

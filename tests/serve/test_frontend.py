@@ -8,6 +8,8 @@ replies — never as a dropped connection or a crashed serving loop.
 
 import json
 import socket
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -94,6 +96,126 @@ def test_engine_maybe_drain_honours_threshold():
     engine.submit_rows("o", "s", [[3.0]])
     delivered = engine.maybe_drain()
     assert [row[2] for row in delivered["o"]] == [1.0, 2.0, 3.0]
+
+
+def test_engine_drain_keeps_a_submit_that_races_its_reconcile(monkeypatch):
+    """A submit landing while a drain reconciles must stay counted.
+
+    The drain once read the queue depth through router.stats() before
+    taking the engine lock, so a submit in between was lost: the engine
+    reported 0 pending with 1 queued, and maybe_drain() then missed its
+    threshold.  The racer submits from a second origin right after the
+    router read; if that read holds the engine lock, the racer waits."""
+    engine = make_engine(drain_every=3)
+    router = engine.router
+    engine.register("a", lambda rows: None)
+    engine.register("b", lambda rows: None)
+    engine.submit_rows("a", "s", [[1.0]])
+    racers = []
+
+    def racing(read):
+        def wrapper(*args, **kwargs):
+            result = read(*args, **kwargs)
+            if not racers:
+                racer = threading.Thread(target=engine.submit_rows,
+                                         args=("b", "t", [[2.0]]))
+                racers.append(racer)
+                racer.start()
+                racer.join(0.2)
+            return result
+        return wrapper
+
+    for name in ("stats", "queue_counters"):
+        if hasattr(router, name):
+            monkeypatch.setattr(router, name, racing(getattr(router, name)))
+    engine.drain()
+    racers[0].join(5.0)
+    assert not racers[0].is_alive()
+    monkeypatch.undo()
+    assert router.stats()["queue_depth"] == 1
+    assert engine.stats()["frontend"]["pending"] == 1
+    engine.submit_rows("a", "s", [[3.0]])
+    assert engine.maybe_drain() == {}
+    engine.submit_rows("a", "s", [[4.0]])
+    delivered = engine.maybe_drain()  # 3 queued == drain_every
+    assert [row[:2] for row in delivered["a"]] == [("s", 1), ("s", 2)]
+    assert [row[:2] for row in delivered["b"]] == [("t", 0)]
+
+
+def test_engine_pending_survives_concurrent_submits_and_drains():
+    """Stress: 4 producers and 2 draining threads on a 2-core host with a
+    short switch interval.  Once all stop, the engine's pending count must
+    equal the router's queue depth (a lost update breaks it) and every
+    arrival reaches its own origin exactly once."""
+    engine = make_engine(drain_every=5, queue_limit=100_000)
+    got = {origin: [] for origin in range(4)}
+    for origin, rows in got.items():
+        engine.register(origin, rows.extend)
+    stop = threading.Event()
+
+    def produce(origin):
+        for i in range(150):
+            engine.submit_rows(origin, "s%d" % (i % 3), [[origin + 1.0]])
+
+    def drain_loop():
+        while not stop.is_set():
+            engine.maybe_drain()
+
+    previous = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        drainers = [threading.Thread(target=drain_loop) for __ in range(2)]
+        producers = [threading.Thread(target=produce, args=(origin,))
+                     for origin in got]
+        for thread in drainers + producers:
+            thread.start()
+        for thread in producers:
+            thread.join(30.0)
+        stop.set()
+        for thread in drainers:
+            thread.join(30.0)
+    finally:
+        sys.setswitchinterval(previous)
+    assert not any(thread.is_alive() for thread in drainers + producers)
+    assert (engine.stats()["frontend"]["pending"]
+            == engine.router.stats()["queue_depth"])
+    engine.drain()
+    indices = {}
+    for origin, rows in got.items():
+        assert len(rows) == 150
+        # A stream's first arrival scores 0 (min_points=2); every other
+        # score is |x|, which names the origin that submitted it.
+        assert {row[2] for row in rows} <= {0.0, origin + 1.0}
+        for stream_id, index, __ in rows:
+            indices.setdefault(stream_id, []).append(index)
+    for stream_id, seen in indices.items():
+        assert sorted(seen) == list(range(200))
+
+
+def test_engine_drain_reads_router_counters_in_constant_time(monkeypatch):
+    """Steady drains read the O(1) queue counters only: no stats() walk,
+    and the per-stream drop walk only when the drop total moved."""
+    engine = make_engine(queue_limit=3, on_full="drop_oldest")
+    router = engine.router
+    got_a, got_b = [], []
+    engine.register("a", got_a.extend)
+    engine.register("b", got_b.extend)
+    walks = []
+    monkeypatch.setattr(router, "stats", None)  # any call raises
+    dropped_counts = router.dropped_counts
+    monkeypatch.setattr(router, "dropped_counts",
+                        lambda: walks.append(1) or dropped_counts())
+    engine.submit_rows("a", "s", [[1.0], [2.0]])
+    engine.submit_rows("b", "s", [[3.0], [4.0]])  # evicts a's 1.0
+    engine.drain()
+    assert got_a == [("s", 0, 2.0)]
+    assert got_b == [("s", 1, 3.0), ("s", 2, 4.0)]
+    assert len(walks) == 1
+    for value in (5.0, 6.0):
+        engine.submit_rows("a", "s", [[value]])
+        engine.drain()
+    assert [row[2] for row in got_a] == [2.0, 5.0, 6.0]
+    assert len(walks) == 1
 
 
 def test_engine_counts_malformed_lines_instead_of_raising():
