@@ -248,8 +248,8 @@ class ConvTransform1d(nn.Module):
         return self.net(x)
 
     def receptive_field(self):
-        # Pure stride-1 convs: a small bounded cone with period 1, so any
-        # window shift keeps cached tail-forward scores splice-able.
+        # Pure stride-1 convs: a small bounded cone with period 1, so a
+        # tail slice may start at any window position.
         return self.net.receptive_field()
 
 

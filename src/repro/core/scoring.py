@@ -7,17 +7,17 @@ recent window and its lagged embedding hot, and only pay for the arrivals:
 
 * :class:`ScoringSession` — per-stream state: a ring buffer of scaled
   observations, an incrementally-maintained lagged matrix for the
-  matrix-view path, and a memoised last forward pass.  For architectures
-  with a bounded receptive field (the conv stacks), a push re-forwards only
-  the window *tail* that the new arrivals can influence — O(receptive
-  field) instead of O(window) — and splices the result into the cached
-  score vector bit-identically to a full re-forward.
+  matrix-view path, and one memoised forward.  For architectures with a
+  bounded receptive field (the conv stacks), a push re-forwards only the
+  window *tail* that the new arrivals can influence — O(receptive field)
+  instead of O(window) — bit-identically to a full re-forward.
 * :func:`batched_score_new` — score many same-length series through one
   forward pass of the fitted autoencoder (the batch axis of the conv stack).
-* :func:`batched_session_scores` — refresh many live sessions at once:
-  sessions that share a detector and a slice shape are stacked through one
-  forward pass (the sharded-serving drain path of :mod:`repro.serve`);
-  tail-capable sessions contribute bounded slices, not whole windows.
+* :func:`batched_session_scores` — refresh many live sessions' trailing
+  scores at once: sessions that share an architecture and a slice shape
+  are stacked through one forward pass (the sharded-serving drain path of
+  :mod:`repro.serve`); tail-capable sessions contribute bounded slices,
+  not whole windows.
 * :func:`iter_key_batches` — the same-shape grouping used by every batched
   path (here and in :class:`repro.eval.BatchScoringEngine`).
 
@@ -130,8 +130,8 @@ def _forward_scaled_batch(detector, kind, scaled, stable=False):
 
     ``stable=True`` (every :class:`ScoringSession` forward) runs under
     :func:`repro.nn.functional.stable_kernels`, making each position's
-    arithmetic independent of ``C`` and ``M`` — the precondition for
-    splicing tail-slice forwards into cached full forwards bit-exactly.
+    arithmetic independent of ``C`` and ``M`` — the precondition for a
+    tail-slice forward reproducing the full forward's bits.
     """
     tensor = np.ascontiguousarray(scaled.transpose(0, 2, 1))  # (M, D, C)
     module = detector.model_ if kind == "rae" else detector._f2
@@ -425,12 +425,14 @@ class ScoringSession:
         scored from a forward pass over at most this many points, so the
         per-arrival cost is bounded regardless of stream length.
     tail_forward: when True (default) and the detector's serving module
-        reports a bounded receptive field, pushes re-forward only the last
-        ``tail_context + chunk`` positions of the window and splice the
-        result into the cached score vector — push cost O(receptive
-        field), not O(window), with scores bit-identical to a full
-        re-forward.  Architectures without a bound (FC ablations, the
-        lagged-matrix path) fall back to full forwards automatically.
+        reports a bounded receptive field, a read of the last ``k`` scores
+        forwards only the last ``tail_context + k`` positions of the window
+        (rounded out to the pooling grid) — push cost O(receptive field),
+        not O(window), with scores bit-identical to a full re-forward.
+        Architectures without a bound (FC ablations, the lagged-matrix
+        path) fall back to full forwards automatically; ``False`` makes
+        every read a full forward (the reference the tail path is tested
+        against).
     programs: optional :class:`InferencePrograms` cache.  When given,
         slice forwards replay compiled grad-free score tapes instead of
         rebuilding the autograd graph eagerly; scores are bit-identical
@@ -447,25 +449,22 @@ class ScoringSession:
     ``score_new`` on the window content to floating-point tolerance: the
     session's forwards run under :func:`repro.nn.functional.stable_kernels`
     (whose conv reduction order differs from the stateless path's by
-    ~1 ulp) so that *within* the session, tail forwards, splices and full
-    re-forwards are mutually bit-identical.  The matrix path fixes its lag
+    ~1 ulp) so that *within* the session, tail and full forwards are
+    mutually bit-identical.  The matrix path fixes its lag
     from the window *capacity* (that is what makes incremental updates
     possible), so it matches ``score_new`` once the ring holds a full
     window; while it is still filling, ``score_new``'s
     content-length-based lag clamp can pick a smaller lag and the scores
     differ slightly.
 
-    Tail-forward mechanics (series kinds).  The composed receptive field
-    gives three numbers: a lookback/lookahead margin pair (positions a
-    slice's padded edges can pollute) and a *period* (the pooling-grid
-    quantum: only window shifts that are period multiples keep cached
-    positions valid — 2 for the pooled conv RAE, 1 for RDAE's ``f2``).
-    The cache is anchored at the forward that produced it; a push whose
-    cumulative shift since the anchor is period-aligned refreshes the whole
-    cache from a head slice + shifted interior + tail slice, and a
-    misaligned push answers from a standalone aligned tail slice while the
-    anchor waits (at most ``period`` pushes) for alignment.  Either way a
-    push forwards O(receptive field + chunk) positions, never O(window).
+    The session memoises one forward: the exact scores of the last
+    ``len(memo)`` window positions as of the arrival count it ran at.
+    Reads answer from it until the next arrival, or until a read wants
+    more positions than it holds.  A tail slice starts on a multiple of
+    the receptive field's *period* (the pooling-grid quantum: 2 for the
+    pooled conv RAE, 1 for RDAE's ``f2``), so its pooling grid is the full
+    forward's, and its first lookback-margin positions, which its padded
+    left edge pollutes, are discarded.
     """
 
     def __init__(self, detector, window=256, tail_forward=True,
@@ -495,17 +494,14 @@ class ScoringSession:
             if field.bounded:
                 self._field = field
                 self._period = field.period_int
-                # The same margins tail_context() is derived from (see
+                # The margin tail_context() is derived from (see
                 # ReceptiveField.margins), so the tested public bound and
-                # the splice exclusion zones cannot drift apart.
-                self._lb, self._ra = field.margins()
-        # Memoised forward state: the full-window score vector as of
-        # `_cache_total` arrivals (the splice anchor), plus a standalone
-        # tail memo serving pushes whose shift is not yet period-aligned.
-        self._cache_total = -1
-        self._cache_scores = np.zeros(0)
-        self._tail_total = -1
-        self._tail_scores = np.zeros(0)
+                # the positions a tail slice discards cannot drift apart.
+                self._lb = field.margins()[0]
+        # The one memo: exact scores of the last len(_memo) window
+        # positions as of _memo_total arrivals.
+        self._memo_total = -1
+        self._memo = np.zeros(0)
 
     def __len__(self):
         return len(self._ring)
@@ -548,31 +544,22 @@ class ScoringSession:
         self._ingest(history, bulk=True)
         return self
 
-    def load_state(self, window, total, cache_scores=None, cache_total=None):
+    def load_state(self, window, total):
         """Restore the exact retained state of a live session.
 
         ``window`` holds the *scaled* rows a live session's ring retained
         (its ``_ring.view()`` at save time) and ``total`` its arrival
         count.  The ring is reloaded slot-exact and the lagged embedding
-        rebuilt from the retained rows, so the next ``scores()`` call is
-        bit-identical to the session that never stopped.  Used by
+        rebuilt from the retained rows, so the next read is bit-identical
+        to the session that never stopped (the memo is derived state; the
+        first read recomputes it).  Used by
         :meth:`repro.stream.StreamScorer.load_state_dict` (shard recovery).
-
-        ``cache_scores``/``cache_total`` optionally restore the splice
-        cache, so a restored session resumes tail forwards immediately
-        instead of paying one full re-anchor forward; omitted (old saves),
-        the first refresh recomputes it — same bits, one full forward.
         """
         self._ring.load(window, total)
         if self._lagged is not None:
             self._lagged.rebuild(np.asarray(self._ring.view()))
-        self._cache_total = -1
-        self._cache_scores = np.zeros(0)
-        self._tail_total = -1
-        self._tail_scores = np.zeros(0)
-        if cache_scores is not None and cache_total is not None:
-            self._cache_scores = np.asarray(cache_scores, dtype=np.float64).copy()
-            self._cache_total = int(cache_total)
+        self._memo_total = -1
+        self._memo = np.zeros(0)
         return self
 
     def checkpoint(self, n):
@@ -584,29 +571,24 @@ class ScoringSession:
         """Return to the state :meth:`checkpoint` saw, bit for bit.
 
         Rewinds the ring and rebuilds the lagged embedding from it (the
-        :meth:`load_state` path).  Memos of arrivals past the undo point
-        are dropped; older ones stay valid, because the rewound rows are
-        bit-identical.  (A drain installs forward results only after every
-        forward succeeded, so a failed drain normally leaves none newer.)
+        :meth:`load_state` path).  A memo of arrivals past the undo point
+        is dropped; an older one stays valid, because the rewound rows are
+        bit-identical.
         """
         self._ring.rewind(mark)
         if self._lagged is not None:
             self._lagged.rebuild(np.asarray(self._ring.view()))
-        total = self._ring.total
-        if self._cache_total > total:
-            self._cache_total = -1
-            self._cache_scores = np.zeros(0)
-        if self._tail_total > total:
-            self._tail_total = -1
-            self._tail_scores = np.zeros(0)
+        if self._memo_total > self._ring.total:
+            self._memo_total = -1
+            self._memo = np.zeros(0)
         return self
 
     def ingest(self, points):
         """Ingest a chunk *without* scoring it (the batched-drain hook).
 
         Unlike :meth:`seed`, the lagged embedding is advanced incrementally
-        (exactly as :meth:`extend` would), so a later :meth:`scores` call —
-        possibly refreshed for many sessions at once by
+        (exactly as :meth:`extend` would), so a later :meth:`last_scores`
+        call — possibly refreshed for many sessions at once by
         :func:`batched_session_scores` — sees the same state as per-chunk
         scoring.  Returns the number of ingested points.
         """
@@ -635,117 +617,39 @@ class ScoringSession:
         return (outlier**2).sum(axis=1) + 1e-9 * (residual**2).sum(axis=1)
 
     # ------------------------------------------------------------------ #
-    # refresh planning — shared by the solo paths and the batched drain
+    # refresh planning — shared by the solo path and the batched drain
     #
-    # A "plan" is a (kind, data) pair describing how to bring the memos up
-    # to date; _plan_slices names the ring slices it must forward, _apply
-    # installs the results.  batched_session_scores runs the same three
-    # stages but stacks same-shape slices from many sessions through one
-    # grouped forward pass.
+    # A stale read plans ("zeros", None) below the 2-point scoring minimum,
+    # ("solo", None) for the lagged-matrix path (its own full forward), or
+    # ("slice", start): forward ring rows [start, size).  _apply installs
+    # the plan's scores as the memo.  batched_session_scores stacks
+    # same-shape slices from many sessions through one grouped forward.
 
-    def _align_down(self, position):
-        """Largest period multiple <= position (never below 0)."""
-        return max(0, (int(position) // self._period) * self._period)
+    def _stale(self, count):
+        """Whether the memo cannot answer the last ``count`` scores."""
+        return (self._memo_total != self._ring.total
+                or self._memo.shape[0] < min(count, len(self._ring)))
 
-    def _plan(self, want=None):
-        """Decide how to refresh: ``(kind, data)``.
-
-        * ``("fresh", None)`` — memo already current.
-        * ``("zeros", None)`` — window below the 2-point scoring minimum.
-        * ``("solo", None)`` — lagged-matrix path; needs its own forward.
-        * ``("full", None)`` — full-window forward required.
-        * ``("splice", (head, head_len, shift, cut, start))`` — the shift
-          since the cache anchor is period-aligned: recompute the first
-          ``head`` positions from a ``[0, head_len)`` slice (left edge
-          moved), reuse ``cache[j + shift]`` for ``j in [head, cut)``, and
-          recompute ``[cut, size)`` from an aligned ``[start, size)`` tail
-          slice.
-        * ``("tail", start)`` — misaligned shift but only the last ``want``
-          scores are needed: one aligned ``[start, size)`` slice answers
-          them exactly while the cache anchor waits for alignment.
-        """
-        total = self._ring.total
-        if total == self._cache_total:
-            return ("fresh", None)
+    def _plan(self, want):
+        """How to bring the memo up to (at least) the last ``want`` scores."""
         size = len(self._ring)
         if size < 2:
             return ("zeros", None)
         if self.kind == "rdae_matrix":
             return ("solo", None)
         if self._field is None:
-            return ("full", None)
-        splice = None
-        cache_size = self._cache_scores.shape[0]
-        # A cache of fewer than 2 rows is the warmup-zeros convention, not
-        # forward output — never splice from it.
-        if self._cache_total >= 0 and cache_size >= 2:
-            since = total - self._cache_total
-            shift = cache_size + since - size  # evictions since the anchor
-            if shift >= 0 and shift % self._period == 0:
-                head = self._lb if shift else 0
-                cut = size - since - self._ra
-                start = self._align_down(cut - self._lb)
-                head_len = min(head + self._ra, size)
-                if (head < cut and start >= self._period
-                        and (not head or head_len >= head + self._ra)):
-                    splice = ("splice", (head, head_len, shift, cut, start))
-        if want is not None:
-            first = size - min(int(want), size)
-            start = self._align_down(first - self._lb)
-            if start >= self._period:
-                # A caller that only needs trailing scores gets whichever
-                # costs fewer forwarded positions: the standalone tail
-                # slice, or the cache-refreshing splice.  (The cache anchor
-                # can lag arbitrarily behind — standalone tails have
-                # constant cost, and scores() re-anchors on demand.)
-                if splice is not None:
-                    head, head_len, __, ___, sp_start = splice[1]
-                    splice_cost = (size - sp_start) + (head_len if head else 0)
-                    if splice_cost <= size - start:
-                        return splice
-                return ("tail", start)
-        if splice is not None:
-            return splice
-        return ("full", None)
+            return ("slice", 0)
+        # The latest period multiple whose slice still leaves `want`
+        # positions past its lookback margin; a slice starting within one
+        # period of the window edge saves nothing over the full forward.
+        start = (size - int(want) - self._lb) // self._period * self._period
+        return ("slice", start if start >= self._period else 0)
 
-    def _plan_slices(self, plan):
-        """The ``[lo, hi)`` ring slices a plan needs forwarded, in order."""
-        kind, data = plan
-        size = len(self._ring)
-        if kind == "splice":
-            head, head_len, __, ___, start = data
-            slices = [(start, size)]
-            if head:
-                slices.append((0, head_len))
-            return slices
-        if kind == "tail":
-            return [(data, size)]
-        if kind == "full":
-            return [(0, size)]
-        return []
-
-    def _apply(self, plan, forwards):
-        """Install the forwarded slice scores per the plan."""
-        kind, data = plan
-        size = len(self._ring)
-        if kind == "full":
-            self._install_cache(forwards[0])
-        elif kind == "splice":
-            head, __, shift, cut, start = data
-            refreshed = np.empty(size)
-            if head:
-                refreshed[:head] = forwards[1][:head]
-            refreshed[head:cut] = self._cache_scores[head + shift : cut + shift]
-            refreshed[cut:] = forwards[0][cut - start :]
-            self._install_cache(refreshed)
-        elif kind == "tail":
-            # Only positions >= lookback margin of the slice are exact.
-            self._tail_scores = forwards[0][self._lb :]
-            self._tail_total = self._ring.total
-
-    def _install_cache(self, scores):
-        self._cache_scores = scores
-        self._cache_total = self._ring.total
+    def _apply(self, plan, scores):
+        """Install a plan's scores as the memo (a tail slice without its
+        lookback margin, whose positions its padded left edge pollutes)."""
+        self._memo = scores[self._lb :] if plan[1] else scores
+        self._memo_total = self._ring.total
 
     def _slice_forward(self, lo, hi):
         """Exact scores of window rows ``[lo, hi)`` via one stable forward."""
@@ -761,33 +665,25 @@ class ScoringSession:
         )[0]
 
     def _run_plan(self, plan):
-        """Execute a plan solo (the batched drain distributes this work)."""
-        kind = plan[0]
-        if kind == "fresh":
-            return
+        """Execute a plan solo (the batched drain groups slice forwards)."""
+        kind, start = plan
         if kind == "zeros":
-            self._install_cache(np.zeros(len(self._ring)))
-            return
-        if kind == "solo":
-            self._install_cache(self._forward(np.asarray(self._ring.view())))
-            return
-        forwards = [self._slice_forward(lo, hi)
-                    for lo, hi in self._plan_slices(plan)]
-        self._apply(plan, forwards)
+            scores = np.zeros(len(self._ring))
+        elif kind == "solo":
+            scores = self._forward(np.asarray(self._ring.view()))
+        else:
+            scores = self._slice_forward(start, len(self._ring))
+        self._apply(plan, scores)
 
     # ------------------------------------------------------------------ #
     def scores(self):
         """Scores of every observation in the current window.
 
-        Refreshes the memo if stale — through the aligned splice path when
-        the receptive field allows it, a full forward otherwise — so the
-        returned vector always equals a from-scratch full re-forward of the
-        retained window, bit for bit.
+        One full stable forward, memoised until the next arrival — always
+        equal to a from-scratch full re-forward of the retained window,
+        bit for bit.
         """
-        if self._ring.total != self._cache_total:
-            plan = self._plan()
-            self._run_plan(plan)
-        return self._cache_scores
+        return self.last_scores(len(self._ring))
 
     def last_scores(self, count):
         """Exact scores of the last ``min(count, len(self))`` positions.
@@ -795,21 +691,15 @@ class ScoringSession:
         Bit-identical to ``scores()[-count:]`` but never forwards more
         than O(receptive field + count) positions on the tail path — this
         is what :meth:`extend`, :meth:`push` and the serve drains read.
+        Returns the memo itself when it holds exactly that many scores.
         """
-        size = len(self._ring)
-        count = min(int(count), size)
+        count = min(int(count), len(self._ring))
         if count <= 0:
             return np.zeros(0)
-        total = self._ring.total
-        if total == self._cache_total:
-            return self._cache_scores[size - count :]
-        if total == self._tail_total and self._tail_scores.shape[0] >= count:
-            return self._tail_scores[self._tail_scores.shape[0] - count :]
-        plan = self._plan(want=count)
-        self._run_plan(plan)
-        if plan[0] == "tail":
-            return self._tail_scores[self._tail_scores.shape[0] - count :]
-        return self._cache_scores[len(self._ring) - count :]
+        if self._stale(count):
+            self._run_plan(self._plan(count))
+        memo = self._memo
+        return memo if memo.shape[0] == count else memo[memo.shape[0] - count :]
 
     def extend(self, points):
         """Ingest a chunk and return one score per ingested point.
@@ -858,33 +748,28 @@ def batched_score_new(detector, series_batch):
     return _forward_scaled_batch(detector, kind, scaled)
 
 
-def batched_session_scores(sessions, batch_size=32, tail=None,
-                           programs=None):
-    """Refresh many sessions' scores with as few forwards as possible.
+def batched_session_scores(sessions, tail, batch_size=32, programs=None):
+    """Refresh many sessions' trailing scores with as few forwards as possible.
 
     The sharded-serving drain path: after a burst of arrivals has been
     ingested into many :class:`ScoringSession` shards (via :meth:`ingest`),
-    each stale session contributes the ring slices its refresh plan needs —
-    a bounded head/tail pair for tail-capable sessions, the whole window
-    otherwise — and slices that share an **architecture fingerprint** and
-    length are stacked through **one** forward pass per group instead of
-    one per shard.  Distinct same-spec detectors (e.g. 64 streams each
-    holding its own fitted copy of one architecture) therefore share a
-    group; with a ``programs`` cache their weights stack along a leading
-    member axis and the whole group replays one compiled program.
-    Results are installed into each session's memo, so subsequent
-    ``scores()``/``last_scores()`` reads are free.  Sessions on the
+    each session whose memo is stale contributes the one ring slice its
+    refresh plan needs — a bounded tail for tail-capable sessions, the
+    whole window otherwise — and slices that share an **architecture
+    fingerprint** and length are stacked through **one** forward pass per
+    group instead of one per shard.  Distinct same-spec detectors (e.g. 64
+    streams each holding its own fitted copy of one architecture) therefore
+    share a group; with a ``programs`` cache their weights stack along a
+    leading member axis and the whole group replays one compiled program.
+    Results are installed into each session's memo.  Sessions on the
     lagged-matrix path (whose embedding geometry is per-session) and
     still-warming sessions fall back to their solo path.
 
     Parameters
     ----------
-    tail: optional list of per-session trailing-score counts (one per
-        session, the drain's chunk sizes).  When given, the return value is
-        each session's ``last_scores(n)`` — which lets sessions whose cache
-        anchor is misaligned serve the drain from a bounded standalone tail
-        slice instead of paying a full-window forward.  When ``None``, the
-        full window score vectors are returned, exactly as before.
+    tail: per-session trailing-score counts (one per session, the drain's
+        chunk sizes); the return value is each session's
+        ``last_scores(n)``.
     programs: optional :class:`InferencePrograms` compiled-path cache.
         ``None`` keeps every group on the eager stable forward; scores are
         bit-identical either way.
@@ -892,60 +777,32 @@ def batched_session_scores(sessions, batch_size=32, tail=None,
     Returns the per-session arrays in input order.
     """
     sessions = list(sessions)
-    if tail is None:
-        wants = [None] * len(sessions)
-    else:
-        wants = [int(n) for n in tail]
-        if len(wants) != len(sessions):
-            raise ValueError("tail must name one count per session")
-    # Plan each session OBJECT once, even when the caller lists it several
-    # times: plans are computed from pre-refresh state, so applying a
-    # splice twice to the same object would re-shift the already-refreshed
-    # cache.  Duplicates are served from the memos the single refresh
-    # installs (a larger duplicate `want` covers the smaller ones).
-    unique, order = {}, []
+    wants = [int(n) for n in tail]
+    if len(wants) != len(sessions):
+        raise ValueError("tail must name one count per session")
+    jobs = []  # (session, slice plan)
     for session, want in zip(sessions, wants):
-        key = id(session)
-        if key not in unique:
-            unique[key] = [session, want]
-            order.append(key)
-        elif want is not None and want > unique[key][1]:
-            unique[key][1] = want
-    work = [unique[key] for key in order]
-    plans = [session._plan(want=want) for session, want in work]
-    jobs = []  # (work index, slice index within its plan, lo, hi)
-    for index, ((session, __), plan) in enumerate(zip(work, plans)):
-        if plan[0] in ("zeros", "solo"):
-            session._run_plan(plan)  # cheap, or per-session lagged geometry
+        if not session._stale(want):
             continue
-        for j, (lo, hi) in enumerate(session._plan_slices(plan)):
-            jobs.append((index, j, lo, hi))
-    if jobs:
-        # Group by architecture fingerprint, not object identity: distinct
-        # detectors with the same spec stack into one forward (the
-        # fingerprint embeds the scoring kind).
-        keys = [(architecture_fingerprint(work[i][0].detector,
-                                          work[i][0].kind), hi - lo)
-                for i, __, lo, hi in jobs]
-        forwards = {}
-        for indices in iter_key_batches(keys, batch_size):
-            group = [jobs[g] for g in indices]
-            batch = np.stack([
-                np.asarray(work[i][0]._ring.view())[lo:hi]
-                for i, __, lo, hi in group
-            ])
-            detectors = [work[i][0].detector for i, *__ in group]
-            kind = work[group[0][0]][0].kind
-            scores = _group_scaled_batch(detectors, kind, batch, programs)
-            for row, (i, j, __, ___) in enumerate(group):
-                forwards[(i, j)] = scores[row]
-        for index in sorted({i for i, *__ in jobs}):
-            plan = plans[index]
-            count = len(work[index][0]._plan_slices(plan))
-            work[index][0]._apply(
-                plan, [forwards[(index, j)] for j in range(count)]
-            )
-    if tail is None:
-        return [session.scores() for session in sessions]
+        plan = session._plan(want)
+        if plan[0] == "slice":
+            jobs.append((session, plan))
+        else:
+            session._run_plan(plan)  # cheap, or per-session lagged geometry
+    # Group by architecture fingerprint, not object identity: distinct
+    # detectors with the same spec stack into one forward (the fingerprint
+    # embeds the scoring kind).
+    keys = [(architecture_fingerprint(session.detector, session.kind),
+             len(session) - plan[1]) for session, plan in jobs]
+    for indices in iter_key_batches(keys, batch_size):
+        group = [jobs[g] for g in indices]
+        batch = np.stack([np.asarray(session._ring.view())[plan[1]:]
+                          for session, plan in group])
+        scores = _group_scaled_batch(
+            [session.detector for session, __ in group], group[0][0].kind,
+            batch, programs,
+        )
+        for row, (session, plan) in enumerate(group):
+            session._apply(plan, scores[row])
     return [session.last_scores(want)
             for session, want in zip(sessions, wants)]

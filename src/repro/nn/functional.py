@@ -54,10 +54,9 @@ __all__ = [
 # kernels may round the last few output positions differently depending on
 # the *length* of the input (tail-block handling).  That is invisible to
 # training, but the receptive-field-bounded tail forwards of
-# repro.core.scoring splice slice forwards into cached full forwards and
-# promise bit-identical results — which requires every output position's
-# arithmetic to be independent of how long the forwarded array happens to
-# be.  `stable_kernels()` switches conv1d to a per-tap accumulation with a
+# repro.core.scoring answer reads from a window slice and promise the full
+# forward's bits — which requires every output position's arithmetic to
+# be independent of how long the forwarded array happens to be.  `stable_kernels()` switches conv1d to a per-tap accumulation with a
 # fixed non-BLAS reduction order (slower, still vectorised); serving paths
 # enter it around their forwards, training never pays for it.
 #

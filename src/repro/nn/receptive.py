@@ -74,7 +74,8 @@ class ReceptiveField:
         ``period`` shifts every output by ``shift / stride`` and leaves
         all per-position values unchanged (away from the edges); shifts
         that are *not* multiples of ``period`` re-anchor pooling grids
-        and invalidate every cached position.
+        and change per-position values (so a tail slice must start on a
+        period multiple to reproduce the full forward).
     """
 
     bounded = True
@@ -131,10 +132,11 @@ class ReceptiveField:
         interior boundary may disturb (edge padding, pool trimming, the
         upsample ``size`` clamp).  The extra ``period + 4`` slack absorbs
         grid re-anchoring and the composition's floor/ceil rounding.
-        Both :meth:`context` (the public ``tail_context()`` bound the
-        perturbation contract tests pin) and the splice exclusion zones of
-        :class:`repro.core.ScoringSession` derive from here, so the tested
-        bound and the splice mechanics cannot drift apart.
+        :meth:`context` (the public ``tail_context()`` bound the
+        perturbation contract tests pin) takes both, and the positions a
+        :class:`repro.core.ScoringSession` tail slice discards are
+        ``left``, so the tested bound and the tail forward cannot drift
+        apart.
         """
         slack = self.period_int + 4
         return self.lookback + slack, self.lookahead + slack

@@ -227,14 +227,18 @@ class FrontendEngine:
             # Read the queue depth under the engine lock: submit_rows
             # counts _pending under it too, so an arrival queued while this
             # drain ran is either in the depth read here or counted after.
-            self._pending, dropped_total = self.router.queue_counters()
+            self._pending = self.router.queue_counters()[0]
             self._failed = {stream_id: str(exc)
                             for stream_id, exc in failures.items()}
             # Reconcile drop_oldest evictions first: the dropped arrivals
             # were the oldest queued, i.e. the front of their segments.
-            # The per-stream walk runs only when the drop total moved.
+            # Only drops as of the router's pop count here; one landing
+            # after it evicted an arrival queued behind this drain's, and
+            # is reconciled by the next drain.  The per-stream walk runs
+            # only when the drop total moved.
+            dropped_total, counts = self.router.drops_at_pop()
             if dropped_total != self._drops_seen_total:
-                for stream_id, dropped in self.router.dropped_counts().items():
+                for stream_id, dropped in counts.items():
                     delta = dropped - self._dropped_seen.get(stream_id, 0)
                     if delta:
                         self._trim_segments_locked(stream_id, delta)

@@ -199,6 +199,7 @@ class StreamRouter:
         "_scored": "_lock",
         "_dropped": "_lock",
         "_dropped_total": "_lock",
+        "_pop_drops": "_lock",
         "_dims": "_lock",
         "_drains": "_lock",
         "_shards": "_lock",
@@ -234,6 +235,8 @@ class StreamRouter:
         self._scored = {}
         self._dropped = {}
         self._dropped_total = 0  # sum of _dropped, kept for O(1) reads
+        # (_dropped_total, copy of _dropped) as of the last drain's pop.
+        self._pop_drops = (0, {})
         self._drains = 0
         # _lock guards the queue, counters and shard registry (submit-side
         # state); _drain_lock serialises whole drains.  Lock order: a drain
@@ -401,6 +404,14 @@ class StreamRouter:
         """
         with self._drain_lock:
             with self._lock:
+                # Record the drops as of this pop.  An arrival evicted
+                # later was queued behind this drain's arrivals, so a
+                # frontend attributing this drain's scores must leave it
+                # to the next drain.  The per-stream copy is taken only
+                # when the total moved.
+                if self._pop_drops[0] != self._dropped_total:
+                    self._pop_drops = (self._dropped_total,
+                                       self.dropped_counts())
                 count = len(self._queue)
                 if max_points is not None:
                     count = min(count, max(int(max_points), 0))
@@ -518,10 +529,6 @@ class StreamRouter:
         for i, (stream_id, scorer) in enumerate(self._shards.items()):
             state = scorer.state_dict()
             arrays["s%d::window" % i] = state["window"]
-            if "cache_scores" in state:
-                # The tail-forward splice cache: restoring it lets the
-                # shard resume bounded pushes without a re-anchor forward.
-                arrays["s%d::cache" % i] = state["cache_scores"]
             # score/score_new shards evaluate fitted state at drain time;
             # unless the detector is stateless-scoring, only restored
             # weights (or a restore-time override) can resume them.
@@ -555,7 +562,6 @@ class StreamRouter:
                 "kind": state["kind"],
                 "dims": state["dims"],
                 "total": state["total"],
-                "cache_total": state.get("cache_total"),
                 "submitted": self._submitted[stream_id],
                 "scored": self._scored[stream_id],
                 "dropped": self._dropped[stream_id],
@@ -613,6 +619,9 @@ class StreamRouter:
         Manifests written while the router still had parallel drain
         backends carry two extra execution keys in their config; restore
         ignores them (they never affected scores) and drains serially.
+        Older saves also carry each session's score cache (``s%d::cache``
+        arrays, a ``cache_total`` per stream); restore ignores it, since
+        the retained window alone resumes every score bit-exactly.
         """
         with open(os.path.join(directory, _MANIFEST)) as handle:
             manifest = json.load(handle)
@@ -685,10 +694,6 @@ class StreamRouter:
                 else np.zeros((0, 0)),
                 "total": entry["total"],
             }
-            if (entry.get("cache_total") is not None and blob is not None
-                    and "s%d::cache" % i in blob):
-                state["cache_scores"] = blob["s%d::cache" % i]
-                state["cache_total"] = entry["cache_total"]
             scorer.load_state_dict(state)
             router._submitted[entry["id"]] = entry["submitted"]
             router._scored[entry["id"]] = entry["scored"]
@@ -757,6 +762,12 @@ class StreamRouter:
         """``{stream_id: dropped}`` for every stream (a copy)."""
         with self._lock:
             return dict(self._dropped)
+
+    def drops_at_pop(self):
+        """``(dropped_total, {stream_id: dropped})`` as of the last drain's
+        queue pop, in O(1).  The mapping is shared: do not mutate it."""
+        with self._lock:
+            return self._pop_drops
 
     def stats(self):
         """Router-level stats plus a per-stream breakdown.

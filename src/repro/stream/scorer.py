@@ -223,22 +223,16 @@ class StreamScorer:
         are scaled by the detector's training scaler, ``ring`` rows are
         raw arrivals); ``window`` is the retained window oldest-first and
         ``total`` the arrivals ever ingested — everything
-        :meth:`load_state_dict` needs to resume the stream bit-exactly.
-        Session states additionally carry the tail-forward splice cache
-        (``cache_scores``/``cache_total``) when one is live, so a restored
-        shard resumes receptive-field-bounded pushes without paying a
-        re-anchoring full forward first.  The detector itself is *not*
+        :meth:`load_state_dict` needs to resume the stream bit-exactly
+        (the session's memoised forward is derived state, recomputed by
+        the first read after a restore).  The detector itself is *not*
         included; persist it with :mod:`repro.core.persistence` (or a
         spec) alongside.
         """
         if self._session is not None:
-            state = {"kind": "session", "dims": int(self._session.dims),
-                     "window": np.asarray(self._session._ring.view()).copy(),
-                     "total": int(self._session.total)}
-            if self._session._cache_total >= 0:
-                state["cache_scores"] = self._session._cache_scores.copy()
-                state["cache_total"] = int(self._session._cache_total)
-            return state
+            return {"kind": "session", "dims": int(self._session.dims),
+                    "window": np.asarray(self._session._ring.view()).copy(),
+                    "total": int(self._session.total)}
         if self._ring is not None:
             return {"kind": "ring", "dims": int(self._ring.dims),
                     "window": np.asarray(self._ring.view()).copy(),
@@ -266,11 +260,7 @@ class StreamScorer:
                 % (kind, self.mode, expected)
             )
         if self._session is not None:
-            self._session.load_state(
-                state["window"], state["total"],
-                cache_scores=state.get("cache_scores"),
-                cache_total=state.get("cache_total"),
-            )
+            self._session.load_state(state["window"], state["total"])
         else:
             self._ring.load(state["window"], state["total"])
         return self

@@ -105,13 +105,15 @@ def test_batched_session_scores_matches_solo_sessions():
         session = ScoringSession(det, window=64)
         session.ingest(chunk)
         batched_sessions.append(session)
-    refreshed = batched_session_scores(batched_sessions, batch_size=4)
+    refreshed = batched_session_scores(
+        batched_sessions, tail=[64] * len(batched_sessions), batch_size=4
+    )
     for got, expected in zip(refreshed, solo):
         assert np.allclose(got, expected)
     # The refresh installed the memo: scores() reads are now free.
-    for session in batched_sessions:
-        assert session.scores() is not None
-        assert session._cache_total == session.total
+    for session, got in zip(batched_sessions, refreshed):
+        assert session._memo_total == session.total
+        assert session.scores() is got
 
 
 def test_batched_session_scores_mixed_shapes_and_warmup():
@@ -141,7 +143,7 @@ def test_batched_session_scores_mixed_shapes_and_warmup():
         ref.ingest(make_stream(seed=seed, length=max(length, 2),
                                spikes=())[0][:length])
         expected.append(ref.scores().copy())
-    refreshed = batched_session_scores(sessions)
+    refreshed = batched_session_scores(sessions, tail=[32, 32, 32, 40])
     for got, ref in zip(refreshed, expected):
         assert got.shape == ref.shape
         assert np.allclose(got, ref)

@@ -11,9 +11,25 @@ arrival may only change scores within it.  Architectures without a bound
 
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
 
-from repro.core import RAE, RDAE, ScoringSession, batched_session_scores
+from repro.core import (
+    RAE,
+    RDAE,
+    InferencePrograms,
+    ScoringSession,
+    batched_session_scores,
+)
 from repro.eval import available_methods, make_detector
+from repro.stream import StreamScorer
 
 SPEED_OVERRIDES = {
     "RAE": {"max_iterations": 3},
@@ -88,7 +104,7 @@ def test_tail_scores_bit_identical_to_full(conv_rae, window, chunks):
         expected = full.extend(series[index:index + chunk])
         assert np.array_equal(got, expected)
         index += chunk
-    # The full window vector must agree too (exercises the splice path).
+    # The full window vector must agree too (a full forward after tails).
     assert np.array_equal(tail.scores(), full.scores())
 
 
@@ -143,51 +159,147 @@ def test_batched_tail_drain_matches_solo(conv_rae, rdae_series):
 
 
 def test_batched_refresh_handles_duplicate_sessions(conv_rae):
-    """The same session object listed twice must refresh exactly once.
-
-    Regression: splice plans are computed from pre-refresh state, so a
-    second apply to the same object would re-shift the already-refreshed
-    cache and silently corrupt every later read.
-    """
+    """The same session object listed twice, with different counts, gets
+    exact scores for both, and the memo it is left with stays exact."""
     session = ScoringSession(conv_rae, window=64)
     reference = ScoringSession(conv_rae, window=64, tail_forward=False)
     history = make_series(16, length=80)
     session.ingest(history)
-    session.scores()  # anchor the splice cache past the window
+    session.scores()  # a full-window memo, about to go stale
     reference.ingest(history)
     fresh = make_series(17, length=4)
-    session.ingest(fresh)
-    reference.ingest(fresh)
-
-    once, twice = batched_session_scores([session, session])
-    assert once is twice or np.array_equal(once, twice)
-    assert np.array_equal(once, reference.scores())
-    assert np.array_equal(session.scores(), reference.scores())
-
-    # Tail mode: duplicates may ask for different counts; the larger
-    # refresh serves both.
-    session.ingest(fresh)
-    reference.ingest(fresh)
-    short, long_ = batched_session_scores([session, session], tail=[2, 4])
-    expected = reference.scores()
-    assert np.array_equal(long_, expected[-4:])
-    assert np.array_equal(short, expected[-2:])
+    for counts in ([4, 4], [2, 4], [4, 2], [64, 3]):
+        session.ingest(fresh)
+        reference.ingest(fresh)
+        expected = reference.scores()
+        got = batched_session_scores([session, session], tail=counts)
+        for count, scores in zip(counts, got):
+            assert np.array_equal(scores, expected[-count:])
+        assert np.array_equal(session.last_scores(6), expected[-6:])
+        assert np.array_equal(session.scores(), expected)
 
 
-def test_state_dict_round_trips_splice_cache(conv_rae):
-    """A restored session resumes tail forwards with identical scores."""
-    from repro.stream import StreamScorer
-
+def test_state_dict_round_trip_resumes_bit_identically(conv_rae):
+    """A restored session carries only its window and arrival count, and
+    resumes tail forwards with identical scores."""
     live = StreamScorer(conv_rae, window=64)
     live.push_many(make_series(10, length=80))
     state = live.state_dict()
-    assert "cache_scores" in state and state["cache_total"] == 80
+    assert set(state) == {"kind", "dims", "window", "total"}
+    assert state["total"] == 80
 
     restored = StreamScorer(conv_rae, window=64).load_state_dict(state)
-    assert restored._session._cache_total == 80
+    assert np.array_equal(restored.rescore(), live.rescore())
     follow = make_series(11, length=20)
     for point in follow:
         assert restored.push(point) == live.push(point)
+
+
+# ------------------- the one memo, under random operations ------------- #
+
+def _memo_machine(detector, window):
+    """Drive a tail-forward session and a ``tail_forward=False`` twin
+    through the same random operations; every read must agree bit for bit
+    with the twin, and a current memo must always equal the full forward
+    of a session freshly loaded with the twin's window (an oracle with no
+    memo history, so a defect the twin shares cannot hide)."""
+    chunks = st.one_of(st.integers(1, 6), st.integers(window - 2, window + 3))
+    seeds = st.integers(0, 2**16)
+
+    def rows(n, seed):
+        return np.random.default_rng(seed).standard_normal((n, 1))
+
+    class MemoMachine(RuleBasedStateMachine):
+        def __init__(self):
+            super().__init__()
+            self.tail = ScoringSession(detector, window=window,
+                                       programs=InferencePrograms())
+            self.full = ScoringSession(detector, window=window,
+                                       tail_forward=False)
+            self.saved = None
+
+        def both(self):
+            return (self.tail, self.full)
+
+        def oracle(self):
+            return ScoringSession(
+                detector, window=window, tail_forward=False,
+            ).load_state(np.asarray(self.full._ring.view()).copy(),
+                         self.full.total).scores()
+
+        @rule(n=chunks, seed=seeds)
+        def ingest(self, n, seed):
+            for session in self.both():
+                session.ingest(rows(n, seed))
+
+        @rule(n=chunks, seed=seeds)
+        def extend(self, n, seed):
+            got, want = (s.extend(rows(n, seed)) for s in self.both())
+            assert np.array_equal(got, want)
+
+        @rule(k=st.integers(0, window + 2))
+        def last_scores(self, k):
+            got, want = (s.last_scores(k) for s in self.both())
+            assert np.array_equal(got, want)
+
+        @rule()
+        def scores(self):
+            got, want = (s.scores() for s in self.both())
+            assert np.array_equal(got, want)
+
+        @rule(n=chunks, seed=seeds, k=st.integers(0, 8))
+        def checkpoint_and_rewind(self, n, seed, k):
+            # Read after the ingest so a memo past the undo point exists.
+            for session in self.both():
+                mark = session.checkpoint(n)
+                session.ingest(rows(n, seed))
+                session.last_scores(k)
+                session.rewind(mark)
+
+        @rule()
+        def save(self):
+            holder = StreamScorer(detector, window=window)
+            holder._session = self.tail
+            self.saved = (holder.state_dict(),
+                          np.asarray(self.full._ring.view()).copy(),
+                          self.full.total)
+
+        @precondition(lambda self: self.saved is not None)
+        @rule(catch_up=st.booleans(), seed=seeds)
+        def restore(self, catch_up, seed):
+            # Into the live sessions, whose memos are of a later state;
+            # catching up with other arrivals returns to the same total.
+            state, window_rows, total = self.saved
+            gained = self.full.total - total
+            holder = StreamScorer(detector, window=window)
+            holder._session = self.tail
+            holder.load_state_dict(state)
+            self.full.load_state(window_rows, total)
+            if catch_up and gained:
+                self.ingest(gained, seed)
+
+        @invariant()
+        def memo_is_exact(self):
+            assert self.tail.total == self.full.total
+            assert len(self.tail) == len(self.full)
+            memo = self.tail._memo
+            if self.tail._memo_total == self.tail.total and memo.shape[0]:
+                expected = self.oracle()
+                assert np.array_equal(memo, expected[len(expected)
+                                                     - memo.shape[0]:])
+
+    return MemoMachine
+
+
+@pytest.mark.parametrize("name,window", [("conv_rae", 96),
+                                         ("rdae_series", 48)])
+def test_memo_matches_full_forward_twin_under_random_operations(
+        request, name, window):
+    machine = _memo_machine(request.getfixturevalue(name), window)
+    run_state_machine_as_test(
+        machine, settings=settings(max_examples=25, deadline=None,
+                                   stateful_step_count=20),
+    )
 
 
 # ----------------- perturbation contract (all registry AEs) ------------ #

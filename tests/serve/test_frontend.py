@@ -218,6 +218,36 @@ def test_engine_drain_reads_router_counters_in_constant_time(monkeypatch):
     assert len(walks) == 1
 
 
+def test_engine_leaves_a_drop_after_the_pop_to_the_next_drain(monkeypatch):
+    """A drop_oldest eviction landing after the router popped the queue,
+    before the engine attributes, evicts an arrival queued behind this
+    drain's: it must not trim this drain's segments (origin ``a`` would
+    lose a score to ``b``), and the next drain reconciles it."""
+    engine = make_engine(queue_limit=3, on_full="drop_oldest")
+    router = engine.router
+    got_a, got_b = [], []
+    engine.register("a", got_a.extend)
+    engine.register("b", got_b.extend)
+    drain = router.drain
+
+    def racing_drain(*args, **kwargs):
+        results = drain(*args, **kwargs)  # the real pop and scoring
+        if not got_a:
+            engine.submit_rows("b", "s", [[3.0], [4.0], [5.0], [6.0]])
+        return results
+
+    monkeypatch.setattr(router, "drain", racing_drain)
+    engine.submit_rows("a", "s", [[1.0], [2.0]])
+    engine.drain()
+    assert got_a == [("s", 0, 1.0), ("s", 1, 2.0)]
+    assert got_b == []
+    assert router.stream_stats("s")["dropped"] == 1  # b's 3.0
+    engine.drain()
+    assert got_a == [("s", 0, 1.0), ("s", 1, 2.0)]
+    assert got_b == [("s", 2, 4.0), ("s", 3, 5.0), ("s", 4, 6.0)]
+    assert engine.stats()["frontend"]["pending"] == 0
+
+
 def test_engine_counts_malformed_lines_instead_of_raising():
     engine = make_engine()
     engine.register("o", lambda rows: None)

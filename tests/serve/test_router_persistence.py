@@ -192,25 +192,39 @@ def test_router_accepts_specs(history):
     assert scores.shape == (30,)
 
 
-def test_restore_carries_splice_cache(fitted_rae, history, tmp_path):
-    """Each session's tail-forward splice cache survives the round trip: a
-    restored shard resumes bounded pushes immediately, scoring subsequent
-    arrivals bit-identically."""
-    router = StreamRouter(fitted_rae, window=48)
-    _feed(router, {"a": history[:60], "b": history[60:120]})
-    router.save(tmp_path / "state")
+def test_restore_ignores_old_saves_score_cache(fitted_rae, history,
+                                              tmp_path):
+    """Older saves also carry each session's score cache (``s%d::cache``
+    arrays and a per-stream ``cache_total``).  Restore must ignore it: the
+    retained window alone resumes scoring bit-identically to a
+    never-restarted router, whatever the stale cache holds."""
+    live = StreamRouter(fitted_rae, window=48)
+    _feed(live, {"a": history[:60], "b": history[60:120]})
+    state = tmp_path / "state"
+    live.save(state)
 
-    restored = StreamRouter.restore(tmp_path / "state")
+    manifest_path = state / "router.json"
+    manifest = json.loads(manifest_path.read_text())
+    with np.load(state / "state.npz") as blob:
+        arrays = dict(blob)
+    for i, entry in enumerate(manifest["streams"]):
+        window = arrays["s%d::window" % i]
+        arrays["s%d::cache" % i] = np.full(window.shape[0], 1e6)
+        entry["cache_total"] = entry["total"]
+    np.savez(state / "state.npz", **arrays)
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+
+    restored = StreamRouter.restore(state)
     for sid in ("a", "b"):
-        live_session = router.stream(sid)._session
-        back_session = restored.stream(sid)._session
-        assert back_session._cache_total == live_session._cache_total
-        assert np.array_equal(back_session._cache_scores,
-                              live_session._cache_scores)
-    live = _feed(router, {"a": history[120:125], "b": history[125:130]})
-    back = _feed(restored, {"a": history[120:125], "b": history[125:130]})
-    for sid in live:
-        assert np.array_equal(live[sid], back[sid])
+        assert np.array_equal(restored.stream(sid).rescore(),
+                              live.stream(sid).rescore())
+    for step in range(3):
+        chunk = {"a": history[120 + 3 * step:123 + 3 * step],
+                 "b": history[140 + step:141 + step]}
+        expected, got = _feed(live, chunk), _feed(restored, chunk)
+        assert list(expected) == list(got)
+        for sid in expected:
+            assert np.array_equal(expected[sid], got[sid])
 
 
 def test_restore_ignores_saved_parallel_drain_backend(fitted_rae, history,

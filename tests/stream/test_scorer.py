@@ -222,10 +222,10 @@ def test_warmup_chunks_run_no_forward_pass(fitted_rae):
     scorer = StreamScorer(fitted_rae, window=32, min_points=10)
     scorer.push_many(make_series(18, length=4))
     scorer.push_many(make_series(18, length=4))
-    assert scorer._session._cache_total == -1  # no forward ever ran
+    assert scorer._session._memo_total == -1  # no forward ever ran
     assert scorer.total == 8
     out = scorer.push_many(make_series(18, length=4))  # crosses: scores now
-    assert scorer._session._cache_total == scorer._session.total
+    assert scorer._session._memo_total == scorer._session.total
     assert np.all(out != 0.0)
 
 
