@@ -479,18 +479,21 @@ def _run_stream(args):
 
 
 def _run_serve(args):
-    """Multi-stream serving loop over a ``stream_id,value...`` line protocol.
+    """Multi-stream serving over a ``stream_id,value...`` line protocol.
 
-    Lines are enqueued as they arrive; every ``--drain-every`` arrivals the
-    router drains the burst as one micro-batched scoring pass and emits
-    ``stream_id,index,score`` lines (flushed per drain).  Stream shards are
-    created on first sight of a new id, all sharing one fitted detector —
-    which is what lets a drain group their forward passes.
+    One :class:`~repro.serve.FrontendEngine` serves every transport: stdin
+    (or ``--input``) lines, or the ``--tcp``/``--http`` sockets.  Every
+    ``--drain-every`` accepted arrivals the router drains the burst as one
+    micro-batched scoring pass.  Stream shards are created on first sight
+    of a new id, all sharing one fitted detector — which is what lets a
+    drain group their forward passes.  Malformed, non-finite and
+    wrong-arity lines (a CSV header row too) are counted per stream, and a
+    shard that fails to ingest keeps its arrivals queued for the next
+    drain.  Every exit path reports the rejections, saves ``--state-dir``
+    and prints the per-stream stats.
     """
-    import os
-
     from .core import load_detector
-    from .serve import DrainError, StreamRouter
+    from .serve import FrontendEngine, StreamRouter
 
     import json as _json
 
@@ -547,81 +550,36 @@ def _run_serve(args):
         raise SystemExit("serve needs --model or --train-input (or a "
                          "--state-dir holding a saved router) — a shared "
                          "detector to serve every stream with")
-    if args.tcp is not None or args.http is not None:
-        return _serve_network(args, router, detector)
-    # Output indices continue where the previous process stopped.
-    emitted = {stream_id: router.stream_stats(stream_id)["scored"]
-               for stream_id in router.streams()}
-
-    source = sys.stdin if str(args.input) == "-" else open(args.input)
-    out = open(args.output, "w") if args.output else sys.stdout
+    # Drain before the queue can fill: with the 'error' policy a
+    # drain-every above the queue limit would raise QueueFullError before
+    # the first drain was ever reached.  Clamp against the router's OWN
+    # limit — a restored router keeps its saved queue_limit, not this
+    # invocation's --queue-limit.
+    engine = FrontendEngine(
+        router,
+        drain_every=int(np.clip(args.drain_every, 1, router.queue_limit)),
+    )
     try:
-        if args.output:
-            out.write("stream,index,score\n")
-
-        def emit(results):
-            for stream_id, scores in results.items():
-                index = emitted.setdefault(stream_id, 0)
-                for score in scores:
-                    out.write("%s,%d,%.10g\n" % (stream_id, index, score))
-                    index += 1
-                emitted[stream_id] = index
-            out.flush()
-
-        # Drain before the queue can fill: with the 'error' policy a
-        # drain-every above the queue limit would raise QueueFullError
-        # before the first drain was ever reached.  Clamp against the
-        # router's OWN limit — a restored router keeps its saved
-        # queue_limit, not this invocation's --queue-limit.
-        drain_every = int(np.clip(args.drain_every, 1, router.queue_limit))
-        buffered = 0
-
-        def drain_and_emit():
-            # A partially failed drain already scored (and counted) its
-            # healthy streams; they must be written before the error
-            # propagates, or a --state-dir resume would skip their
-            # indices in the output forever.
-            try:
-                emit(router.drain())
-            except DrainError as exc:
-                emit(exc.results)
-                raise
-
-        try:
-            for line in source:
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                try:
-                    row = [float(c) for c in cells[1:]]
-                except (ValueError, IndexError):
-                    continue  # header or malformed line
-                if not row or not np.isfinite(row).all():
-                    continue  # the router refuses non-finite arrivals
-                router.submit(cells[0].strip(), row)
-                buffered += 1
-                if buffered >= drain_every:
-                    drain_and_emit()
-                    buffered = 0
-        except KeyboardInterrupt:
-            # An operator's Ctrl-C must still score the buffered tail,
-            # surface the stats, and persist the state.
-            print("interrupted; draining %d buffered arrival(s)" % buffered,
-                  file=sys.stderr)
-        drain_and_emit()
+        if args.tcp is not None or args.http is not None:
+            _serve_network(args, engine)
+        else:
+            _serve_lines(args, engine)
     finally:
-        if args.output:
-            out.close()
-        if source is not sys.stdin:
-            source.close()
-        # Persist in ALL shutdown paths — EOF, Ctrl-C, or a crashing
-        # arrival/drain: whatever aborts the loop must never cost the
-        # session's accumulated shard state (the error still propagates).
+        # One shutdown path for every transport and every exit — EOF,
+        # Ctrl-C, SIGTERM or a crash: whatever ends the loop must never
+        # cost the session's accumulated shard state (an error still
+        # propagates).  Checked before save() runs: inside an except
+        # handler exc_info would report the save's own exception.
+        unwinding = sys.exc_info()[0] is not None
+        front_stats = engine.stats()["frontend"]
+        if front_stats["error_total"]:
+            print("rejected %d malformed/refused submission(s): %s"
+                  % (front_stats["error_total"], front_stats["errors"]),
+                  file=sys.stderr)
+        if front_stats["failed_streams"]:
+            print("streams whose last drain failed (arrivals kept queued): "
+                  "%s" % front_stats["failed_streams"], file=sys.stderr)
         if args.state_dir:
-            # Checked before save() runs: inside an except handler
-            # exc_info would report the save's own exception.
-            unwinding = sys.exc_info()[0] is not None
             try:
                 router.save(args.state_dir)
                 print("saved router state to %s (restart with the same "
@@ -637,24 +595,60 @@ def _run_serve(args):
     return 0
 
 
-def _serve_network(args, router, detector):
-    """Serve the router over TCP/HTTP until SIGTERM (or SIGINT).
+def _serve_lines(args, engine):
+    """Feed stdin (or ``--input``) lines to ``engine`` as one producer.
+
+    Each drain's rows are written to stdout (or ``--output``) as
+    ``stream_id,index,score`` lines and flushed.  No sink is registered:
+    a sink's exceptions are swallowed, whereas a broken output must raise.
+    """
+    source = sys.stdin if str(args.input) == "-" else open(args.input)
+    out = open(args.output, "w") if args.output else sys.stdout
+    origin = "stdin"
+
+    def write(deliveries):
+        if not deliveries:
+            return
+        # A restored backlog (origin None) was queued ahead of this run's
+        # arrivals: per stream, its rows come first.
+        by_stream = {}
+        for row in deliveries.get(None, []) + deliveries.get(origin, []):
+            by_stream.setdefault(row[0], []).append(row)
+        for rows in by_stream.values():
+            out.writelines("%s,%d,%.10g\n" % row for row in rows)
+        out.flush()
+
+    try:
+        if args.output:
+            out.write("stream,index,score\n")
+        try:
+            for line in source:
+                engine.submit_line(origin, line)
+                write(engine.maybe_drain())
+        except KeyboardInterrupt:
+            # An operator's Ctrl-C must still score the buffered tail.
+            print("interrupted; draining %d buffered arrival(s)"
+                  % engine.router.queue_counters()[0], file=sys.stderr)
+        write(engine.drain())
+    finally:
+        if args.output:
+            out.close()
+        if source is not sys.stdin:
+            source.close()
+
+
+def _serve_network(args, engine):
+    """Serve ``engine`` over TCP/HTTP until SIGTERM (or SIGINT).
 
     Scores flow back to the submitting connections (see
-    :mod:`repro.serve.frontend`), not to stdout; shutdown is graceful —
-    the buffered tail is drained and delivered to still-connected
-    clients, the router state is saved (with ``--state-dir``), and the
-    usual per-stream stats are printed.
+    :mod:`repro.serve.frontend`), not to stdout.  Stopping a frontend
+    drains the buffered tail and delivers it to still-connected clients.
     """
     import signal
     import threading
 
-    from .serve import FrontendEngine, HttpFrontend, TcpFrontend
+    from .serve import HttpFrontend, TcpFrontend
 
-    engine = FrontendEngine(
-        router,
-        drain_every=int(np.clip(args.drain_every, 1, router.queue_limit)),
-    )
     frontends, previous = [], {}
     stop = threading.Event()
     try:
@@ -686,25 +680,6 @@ def _serve_network(args, router, detector):
             except Exception as exc:  # noqa: BLE001 - keep shutting down
                 print("warning: frontend shutdown failed: %s" % exc,
                       file=sys.stderr)
-        front_stats = engine.stats()["frontend"]
-        if front_stats["error_total"]:
-            print("rejected %d malformed/refused submission(s): %s"
-                  % (front_stats["error_total"], front_stats["errors"]),
-                  file=sys.stderr)
-        if args.state_dir:
-            unwinding = sys.exc_info()[0] is not None
-            try:
-                router.save(args.state_dir)
-                print("saved router state to %s (restart with the same "
-                      "--state-dir to resume)" % args.state_dir,
-                      file=sys.stderr)
-            except Exception as exc:
-                if not unwinding:
-                    raise
-                print("warning: could not save router state: %s" % exc,
-                      file=sys.stderr)
-        _print_router_stats(router, router.window, detector)
-    return 0
 
 
 def _print_router_stats(router, window, detector):

@@ -4,18 +4,21 @@ The router scores whatever is queued when ``drain()`` runs; a *frontend* is
 what stands between remote producers and that queue.  The split here:
 
 :class:`FrontendEngine`
-    Transport-agnostic core shared by every frontend (and the CLI's stdin
-    loop).  It parses the ``stream_id,value...`` line protocol, counts
-    malformed input per stream instead of crashing, triggers drains every
-    ``drain_every`` accepted arrivals, and — the part a socket server
-    actually needs — *routes scores back to whoever submitted the
-    arrivals*: every accepted arrival is attributed to its ``origin`` in a
-    per-stream segment list, and after a drain each origin's registered
-    sink receives exactly its own ``(stream, index, score)`` rows, in
-    order.  Indices continue across restarts (seeded from the router's
-    ``scored`` counters), and a stream that fails to drain keeps its
-    segments — the router re-queues its arrivals at the queue front, so
-    attribution stays aligned for the retry.
+    Transport-agnostic core shared by every frontend and by the CLI's
+    stdin producer.  It parses the ``stream_id,value...`` line protocol,
+    counts malformed input per stream instead of crashing, triggers
+    drains every ``drain_every`` accepted arrivals, and — the part a
+    socket server actually needs — *routes scores back to whoever
+    submitted the arrivals*: every accepted arrival is attributed to its
+    ``origin`` in a per-stream segment list, and after a drain each
+    origin's registered sink receives exactly its own ``(stream, index,
+    score)`` rows, in order; :meth:`~FrontendEngine.drain` also returns
+    them per origin.  Indices continue across restarts (seeded from the
+    router's ``scored`` counters).  A restored router's backlog and past
+    drops predate the engine: the backlog's scores go to origin ``None``
+    (counted as unrouted), never to the first client.  A stream that
+    fails to drain keeps its segments — the router re-queues its arrivals
+    at the queue front, so attribution stays aligned for the retry.
 
 :class:`TcpFrontend`
     Line protocol over TCP, one thread per connection: send
@@ -92,14 +95,25 @@ class FrontendEngine:
         self._lock = threading.Lock()
         self._drain_lock = threading.Lock()  # taken before _lock
         self._sinks = {}  # origin -> callable(rows)
-        self._segments = {}  # stream_id -> deque of [origin, count]
         self._emitted = {}  # stream_id -> next output index
         self._errors = {}  # stream_id -> malformed/rejected submissions
-        self._dropped_seen = {}  # stream_id -> router drop count reconciled
-        self._drops_seen_total = 0  # router drop total at the last reconcile
         self._failed = {}  # stream_id -> last drain failure (str)
+        # A restored router's backlog and past drops predate this engine
+        # (one O(streams) read): the backlog is scored first, so it heads
+        # its streams' segments as origin None, and the past drops must
+        # not be trimmed from this engine's segments.
+        per_stream = router.stats()["per_stream"]
+        self._segments = {  # stream_id -> deque of [origin, count]
+            stream_id: deque([[None, per["lag"]]])
+            for stream_id, per in per_stream.items() if per["lag"]
+        }
+        self._dropped_seen = {  # stream_id -> router drop count reconciled
+            stream_id: per["dropped"] for stream_id, per in per_stream.items()
+        }
+        # router drop total at the last reconcile
+        self._drops_seen_total = sum(self._dropped_seen.values())
         self._pending = 0  # engine-submitted arrivals not yet drained
-        self._unrouted = 0  # scores with no owning origin (pre-engine queue)
+        self._unrouted = 0  # scores with no owning origin
 
     # ------------------------------------------------------------------ #
     # origins
@@ -193,7 +207,8 @@ class FrontendEngine:
     def drain(self):
         """Drain the router and deliver each origin's scores to its sink.
 
-        Returns ``{origin: [(stream_id, index, score), ...]}``.  Shard
+        Returns ``{origin: [(stream_id, index, score), ...]}``; a
+        restored backlog's rows come under origin ``None``.  Shard
         failures do not raise here — the router has already re-queued the
         failing streams' arrivals (so their segments stay, aligned for the
         retry) and the failures are surfaced through :meth:`stats`.
@@ -256,6 +271,8 @@ class FrontendEngine:
                 while segments and offset < len(scores):
                     origin, count = segments[0]
                     take = min(count, len(scores) - offset)
+                    if origin is None:
+                        self._unrouted += take
                     rows = deliveries.setdefault(origin, [])
                     for k in range(take):
                         rows.append((stream_id, start + offset + k,
@@ -266,9 +283,8 @@ class FrontendEngine:
                     else:
                         segments[0][1] = count - take
                 if offset < len(scores):
-                    # Arrivals queued before this engine existed (e.g. a
-                    # restored router's backlog) have no origin to claim
-                    # their scores.
+                    # Arrivals submitted to the router directly have no
+                    # segment to claim their scores.
                     self._unrouted += len(scores) - offset
                 self._emitted[stream_id] = start + len(scores)
             sinks = dict(self._sinks)
@@ -423,8 +439,8 @@ class TcpFrontend:
                 if not self._clients:
                     break
             time.sleep(0.01)
-        # The tail of any producer that is not a TCP connection (stdin
-        # loop, HTTP batches with drain=false).
+        # The tail of any producer that is not a TCP connection (HTTP
+        # batches with drain=false, direct submit_rows callers).
         self.engine.drain()
         self._server.server_close()
         if self._thread is not None:

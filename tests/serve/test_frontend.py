@@ -16,6 +16,7 @@ import urllib.request
 import numpy as np
 import pytest
 
+from repro.eval import make_detector
 from repro.serve import (
     FrontendEngine,
     HttpFrontend,
@@ -283,6 +284,52 @@ def test_engine_keeps_segments_of_failed_streams_for_the_retry():
     assert len(bad_rows) == 18
     assert [row[1] for row in bad_rows] == list(range(18))
     assert engine.stats()["frontend"]["failed_streams"] == {}
+
+
+def restored_router(tmp_path, drained, queued=(), **router_kwargs):
+    """A router that scored ``drained`` and then queued ``queued`` (both
+    ``[(stream, value)]``), saved and restored."""
+    router = StreamRouter(make_detector("EMA"), window=16, min_points=2,
+                          **router_kwargs)
+    for stream_id, value in drained:
+        router.submit(stream_id, [value])
+    router.drain()
+    for stream_id, value in queued:
+        router.submit(stream_id, [value])
+    router.save(tmp_path)
+    return StreamRouter.restore(tmp_path)
+
+
+def test_engine_gives_a_restored_backlog_no_clients_scores(tmp_path):
+    """A restored backlog is scored ahead of a client's arrivals: its
+    scores go to origin None, and the client gets exactly its own row."""
+    router = restored_router(
+        tmp_path, [("web", float(i % 5)) for i in range(40)],
+        queued=[("web", 1.0), ("web", 2.0), ("web", 3.0)],
+    )
+    engine = FrontendEngine(router)
+    got = []
+    engine.register("c", got.extend)
+    engine.submit_rows("c", "web", [[0.5]])
+    delivered = engine.drain()
+    assert [row[1] for row in delivered[None]] == [40, 41, 42]
+    assert [row[:2] for row in got] == [("web", 43)]
+    assert engine.stats()["frontend"]["unrouted_scores"] == 3
+
+
+def test_engine_does_not_trim_drops_from_before_a_restore(tmp_path):
+    """Drops the router counted before the engine existed must not be
+    trimmed from a new client's segments."""
+    router = restored_router(tmp_path, [("web", float(i)) for i in range(6)],
+                             queue_limit=4, on_full="drop_oldest")
+    assert router.stream_stats("web")["dropped"] == 2
+    engine = FrontendEngine(router)
+    got = []
+    engine.register("c", got.extend)
+    engine.submit_rows("c", "web", [[1.0], [2.0], [3.0]])
+    engine.drain()
+    assert [row[:2] for row in got] == [("web", 4), ("web", 5), ("web", 6)]
+    assert engine.stats()["frontend"]["unrouted_scores"] == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -474,20 +474,144 @@ def test_serve_failed_save_on_clean_shutdown_raises(serve_setup, tmp_path):
               str(model_path), "--window", "32", "--state-dir", str(state)])
 
 
-def test_serve_saves_state_even_when_an_arrival_crashes(serve_setup,
-                                                        tmp_path, capsys):
-    """A mid-stream error (wrong arity arrival) must still persist the
-    state-dir on the way out."""
-    model_path, feed_path, __ = serve_setup
+def test_serve_counts_a_wrong_arity_line_and_keeps_serving(serve_setup,
+                                                          tmp_path, capsys):
+    """A wrong-arity arrival is a counted rejection, like a malformed
+    line: the run scores every other arrival and saves the state-dir."""
+    model_path, feed_path, per_stream = serve_setup
     bad_feed = tmp_path / "bad.csv"
-    lines = open(feed_path).read().splitlines()
-    bad_feed.write_text("\n".join(lines[:30] + ["web,1.0,2.0"]) + "\n")
+    rows = feed_path.read_text().splitlines()[1:]  # a header counts too
+    bad_feed.write_text("\n".join(rows[:30] + ["web,1.0,2.0"] + rows[30:])
+                        + "\n")
     state = tmp_path / "state"
-    with pytest.raises(ValueError, match="dimensional"):
-        main(["serve", "--input", str(bad_feed), "--model", str(model_path),
+    assert main(["serve", "--input", str(bad_feed), "--model",
+                 str(model_path), "--window", "32",
+                 "--state-dir", str(state)]) == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 3 * per_stream
+    assert "rejected 1 " in captured.err
+    assert (state / "router.json").exists()
+    assert "saved router state" in captured.err
+
+
+def test_serve_saves_state_even_when_the_loop_crashes(serve_setup, tmp_path,
+                                                      capsys, monkeypatch):
+    """A mid-stream crash propagates, and the state-dir is still saved on
+    the way out."""
+    from repro.serve import FrontendEngine
+
+    model_path, feed_path, __ = serve_setup
+    maybe_drain, calls = FrontendEngine.maybe_drain, []
+
+    def crash_on_the_40th_line(self):
+        calls.append(1)
+        if len(calls) == 40:
+            raise RuntimeError("injected crash")
+        return maybe_drain(self)
+
+    monkeypatch.setattr(FrontendEngine, "maybe_drain",
+                        crash_on_the_40th_line)
+    state = tmp_path / "state"
+    with pytest.raises(RuntimeError, match="injected crash"):
+        main(["serve", "--input", str(feed_path), "--model", str(model_path),
               "--window", "32", "--state-dir", str(state)])
     assert (state / "router.json").exists()
     assert "saved router state" in capsys.readouterr().err
+
+
+def _saved_router(state, detector, drained, queued, **router_kwargs):
+    """Save a router that scored the ``drained`` feed lines and then
+    queued the ``queued`` ones."""
+    from repro.serve import StreamRouter
+
+    router = StreamRouter(detector, window=32, **router_kwargs)
+
+    def submit(lines):
+        for line in lines:
+            stream_id, value = line.split(",")
+            router.submit(stream_id, [float(value)])
+
+    submit(drained)
+    router.drain()
+    submit(queued)
+    router.save(state)
+
+
+def _replayed_serve_output(state, lines, drain_every):
+    """The rows ``serve --state-dir`` prints for well-formed ``lines``:
+    the router restored from ``state``, fed ``lines`` through the API and
+    drained every ``drain_every`` submissions and at the end."""
+    from repro.serve import StreamRouter
+
+    router = StreamRouter.restore(state)
+    emitted = {stream_id: router.stream_stats(stream_id)["scored"]
+               for stream_id in router.streams()}
+    out = []
+
+    def drain():
+        for stream_id, scores in router.drain().items():
+            for score in scores:
+                index = emitted.setdefault(stream_id, 0)
+                out.append("%s,%d,%.10g" % (stream_id, index, score))
+                emitted[stream_id] = index + 1
+
+    for n, line in enumerate(lines, 1):
+        stream_id, value = line.split(",")
+        router.submit(stream_id, [float(value)])
+        if n % drain_every == 0:
+            drain()
+    drain()
+    return out
+
+
+def test_serve_writes_a_restored_backlog_first(serve_setup, tmp_path,
+                                               capsys):
+    """Arrivals queued when the state was saved are scored first on
+    restart, with the indices that continue each stream."""
+    from repro.core import load_detector
+
+    model_path, feed_path, __ = serve_setup
+    rows = feed_path.read_text().splitlines()[1:]
+    state = tmp_path / "state"
+    _saved_router(state, load_detector(model_path), rows[:120],
+                  ["web,0.1", "web,0.2", "web,0.3", "db,0.4", "db,0.5"])
+    rest = tmp_path / "rest.csv"
+    rest.write_text("\n".join(rows[120:]) + "\n")
+    expected = _replayed_serve_output(state, rows[120:], 32)
+
+    assert main(["serve", "--input", str(rest),
+                 "--state-dir", str(state)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [line.rsplit(",", 1)[0] for line in out[:3]] == [
+        "web,40", "web,41", "web,42"]
+    assert out == expected
+
+
+def test_serve_drop_oldest_evicts_the_restored_backlog(serve_setup, tmp_path,
+                                                       capsys):
+    """With drop-oldest, this run's arrivals evict the restored backlog:
+    the output is what the router API gives, and the drops saved before
+    the restart are not charged to this run's arrivals."""
+    from repro.core import load_detector
+
+    model_path, feed_path, __ = serve_setup
+    rows = feed_path.read_text().splitlines()[1:]
+    state = tmp_path / "state"
+    # 10 queued into 8 slots: 2 drops before the save, 8 backlog arrivals.
+    _saved_router(state, load_detector(model_path), rows[:8], rows[8:18],
+                  queue_limit=8, on_full="drop_oldest")
+    rest = tmp_path / "rest.csv"
+    rest.write_text("\n".join(rows[18:]) + "\n")
+    expected = _replayed_serve_output(state, rows[18:], 4)
+
+    assert main(["serve", "--input", str(rest), "--state-dir", str(state),
+                 "--on-full", "drop-oldest", "--queue-limit", "8",
+                 "--drain-every", "4"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.splitlines() == expected
+    # The first 4 new arrivals evict 4 of the 8 backlog ones: of all 180,
+    # the 2 saved drops and those 4 are counted, and the rest scored.
+    assert "174 scored, 6 dropped" in captured.err
 
 
 def test_serve_state_dir_without_default_detector(serve_setup, tmp_path,
