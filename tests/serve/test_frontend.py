@@ -9,12 +9,17 @@ replies — never as a dropped connection or a crashed serving loop.
 import json
 import socket
 import sys
+import tempfile
 import threading
 import urllib.error
 import urllib.request
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.eval import make_detector
 from repro.serve import (
@@ -330,6 +335,172 @@ def test_engine_does_not_trim_drops_from_before_a_restore(tmp_path):
     engine.drain()
     assert [row[:2] for row in got] == [("web", 4), ("web", 5), ("web", 6)]
     assert engine.stats()["frontend"]["unrouted_scores"] == 0
+
+
+class AttributionMachine(RuleBasedStateMachine):
+    """Random submit/evict/fail/drain/restore sequences against a model.
+
+    The model mirrors the router queue as ``[stream, value, origin]``
+    entries and replays the ring scorer's window rules, so it predicts
+    every score and the origin that must receive it.  Values are unique
+    and AbsDetector scores ``|x|``, so a score names its arrival.  Origins
+    a/b/c submit through the engine to s/t/p (p also takes POISON, which
+    fails its drains until the window no longer holds it); arrivals
+    submitted to the router directly, with no origin, go to x.
+    """
+
+    WINDOW = 4
+    ORIGINS = ("a", "b", "c")
+    ENGINE_STREAMS = ("s", "t", "p")
+
+    def __init__(self):
+        super().__init__()
+        self.received = {origin: [] for origin in self.ORIGINS}
+        self.expected = {origin: [] for origin in self.ORIGINS}
+        self.delivered = {}  # (stream, index) -> (origin, score)
+        self.predicted = {}  # (stream, index) -> (origin, score)
+        self.queue = []  # model of the router queue: [stream, value, origin]
+        self.window = {}  # stream -> last WINDOW ingested values
+        self.total, self.scored, self.dropped, self.submitted = {}, {}, {}, {}
+        self.unrouted = 0  # origin-None scores since the engine was built
+        self.next_value = 1.0
+        router = StreamRouter(AbsDetector(), window=self.WINDOW, min_points=2,
+                              queue_limit=6, on_full="drop_oldest")
+        self._attach(router)
+
+    def _attach(self, router):
+        self.engine = FrontendEngine(router)
+        for origin, rows in self.received.items():
+            self.engine.register(origin, rows.extend)
+
+    def _fresh(self):
+        value, self.next_value = self.next_value, self.next_value + 1.0
+        return value
+
+    def _enqueue(self, stream_id, value, origin):
+        for counts in (self.total, self.scored, self.dropped, self.submitted):
+            counts.setdefault(stream_id, 0)
+        if len(self.queue) >= 6:
+            self.dropped[self.queue.pop(0)[0]] += 1
+        self.queue.append([stream_id, value, origin])
+        self.submitted[stream_id] += 1
+
+    @rule(origin=st.sampled_from(ORIGINS),
+          stream_id=st.sampled_from(ENGINE_STREAMS),
+          n=st.integers(1, 4),
+          bad_at=st.none() | st.integers(0, 3),
+          bad=st.sampled_from([float("nan"), float("inf")]))
+    def submit_rows(self, origin, stream_id, n, bad_at, bad):
+        values = [self._fresh() for __ in range(n)]
+        if bad_at is not None and bad_at < n:
+            values[bad_at] = bad
+            with pytest.raises(ValueError, match="finite"):
+                self.engine.submit_rows(origin, stream_id,
+                                        [[v] for v in values])
+            values = values[:bad_at]
+        else:
+            assert self.engine.submit_rows(
+                origin, stream_id, [[v] for v in values]) == n
+        for value in values:
+            self._enqueue(stream_id, value, origin)
+
+    @rule(origin=st.sampled_from(ORIGINS))
+    def poison(self, origin):
+        assert self.engine.submit_rows(origin, "p", [[POISON]]) == 1
+        self._enqueue("p", POISON, origin)
+
+    @rule()
+    def submit_direct(self):
+        value = self._fresh()
+        self.engine.router.submit("x", [value])
+        self._enqueue("x", value, None)
+
+    @rule()
+    def drain(self):
+        deliveries = self.engine.drain()
+        for origin, rows in deliveries.items():
+            for stream_id, index, score in rows:
+                assert (stream_id, index) not in self.delivered
+                self.delivered[stream_id, index] = (origin, score)
+        chunks = {}
+        for stream_id, value, origin in self.queue:
+            chunks.setdefault(stream_id, []).append((value, origin))
+        self.queue = []
+        failed = []
+        for stream_id, chunk in chunks.items():
+            values = [value for value, __ in chunk]
+            total = self.total[stream_id] + len(values)
+            window = (self.window.get(stream_id, []) + values)[-self.WINDOW:]
+            if total < 2:  # min_points warmup: scored 0, no forward
+                scores = [0.0] * len(values)
+            elif POISON in window:
+                failed.append((stream_id, chunk))
+                continue
+            else:  # chunk rows older than the window score 0
+                tail = min(len(values), self.WINDOW)
+                scores = ([0.0] * (len(values) - tail)
+                          + [abs(v) for v in values[-tail:]])
+            self.total[stream_id], self.window[stream_id] = total, window
+            for (__, origin), score in zip(chunk, scores):
+                index = self.scored[stream_id]
+                self.scored[stream_id] += 1
+                self.predicted[stream_id, index] = (origin, score)
+                if origin is None:
+                    self.unrouted += 1
+                else:
+                    self.expected[origin].append((stream_id, index, score))
+        for stream_id, chunk in failed:  # re-queued at the front
+            self.queue[:0] = [[stream_id, value, origin]
+                              for value, origin in chunk]
+
+    @rule()
+    def save_and_restore(self):
+        # AbsDetector is not a registry method; persist it as the router
+        # default with neither spec nor weights, and pass it back to
+        # restore() as the default override.
+        def unsaved(*args):
+            return {"spec": None, "weights": None}
+
+        with tempfile.TemporaryDirectory() as directory:
+            with mock.patch.object(StreamRouter, "_persistable_detector",
+                                   unsaved):
+                self.engine.router.save(directory)
+            router = StreamRouter.restore(directory, detector=AbsDetector())
+        self._attach(router)
+        # A restored backlog has no owner in the new engine.
+        for entry in self.queue:
+            entry[2] = None
+        self.unrouted = 0
+
+    @invariant()
+    def each_origin_gets_exactly_its_own_scores(self):
+        for origin in self.ORIGINS:
+            assert self.received[origin] == self.expected[origin]
+        for key, delivered in self.delivered.items():
+            assert delivered == self.predicted[key]
+        for stream_id in self.ENGINE_STREAMS:
+            indices = sorted(index for sid, index in self.delivered
+                             if sid == stream_id)
+            assert indices == list(range(self.scored.get(stream_id, 0)))
+
+    @invariant()
+    def counters_balance(self):
+        stats = self.engine.stats()
+        assert stats["frontend"]["unrouted_scores"] == self.unrouted
+        for stream_id, per in stats["per_stream"].items():
+            assert per["submitted"] == (per["scored"] + per["dropped"]
+                                        + per["lag"])
+            assert (per["submitted"], per["scored"], per["dropped"]) == (
+                self.submitted[stream_id], self.scored[stream_id],
+                self.dropped[stream_id])
+
+
+AttributionMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None,
+    derandomize=True, database=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+TestEngineAttributionMachine = AttributionMachine.TestCase
 
 
 # ---------------------------------------------------------------------- #
