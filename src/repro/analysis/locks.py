@@ -1,7 +1,7 @@
 """Lock-discipline rules: declared-guarded attributes, guard-map validity.
 
 The serving layer's concurrency contract (router queue/counters, frontend
-segment bookkeeping, program-cache counters) is enforced by convention: the
+counters and sinks, program-cache counters) is enforced by convention: the
 docstrings say which lock guards what, and a missed ``with self._lock``
 only surfaces as a counter tear under concurrent load — the class of bug
 tests are worst at.  These rules make the convention machine-checked:

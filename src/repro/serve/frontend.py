@@ -9,16 +9,16 @@ what stands between remote producers and that queue.  The split here:
     counts malformed input per stream instead of crashing, triggers
     drains every ``drain_every`` accepted arrivals, and — the part a
     socket server actually needs — *routes scores back to whoever
-    submitted the arrivals*: every accepted arrival is attributed to its
-    ``origin`` in a per-stream segment list, and after a drain each
-    origin's registered sink receives exactly its own ``(stream, index,
-    score)`` rows, in order; :meth:`~FrontendEngine.drain` also returns
-    them per origin.  Indices continue across restarts (seeded from the
-    router's ``scored`` counters).  A restored router's backlog and past
-    drops predate the engine: the backlog's scores go to origin ``None``
-    (counted as unrouted), never to the first client.  A stream that
-    fails to drain keeps its segments — the router re-queues its arrivals
-    at the queue front, so attribution stays aligned for the retry.
+    submitted the arrivals*: every accepted arrival is queued on the
+    router tagged with its ``origin``, and after a drain each origin's
+    registered sink receives exactly its own ``(stream, index, score)``
+    rows, in order; :meth:`~FrontendEngine.drain` also returns them per
+    origin.  The tag rides the router queue with its arrival, so an
+    eviction, a failed stream's re-queue or a restart can never pair a
+    score with the wrong client.  Indices are the router's per-stream
+    ``scored`` counts, so they continue across restarts.  Saves drop the
+    tags: a restored backlog's scores go to origin ``None`` (counted as
+    unrouted), never to the first client.
 
 :class:`TcpFrontend`
     Line protocol over TCP, one thread per connection: send
@@ -47,7 +47,6 @@ import socket
 import socketserver
 import threading
 import time
-from collections import deque
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
@@ -73,17 +72,13 @@ class FrontendEngine:
 
     Thread-safe throughout: any number of connection threads may submit
     and trigger drains concurrently (drains serialise on the router's own
-    drain lock; segment bookkeeping on the engine lock).
+    drain lock; the engine's counters on the engine lock).
     """
 
     #: Lock discipline, machine-checked by ``repro lint`` (lock-guarded).
     _GUARDED_BY = {
         "_sinks": "_lock",
-        "_segments": "_lock",
-        "_emitted": "_lock",
         "_errors": "_lock",
-        "_dropped_seen": "_lock",
-        "_drops_seen_total": "_lock",
         "_failed": "_lock",
         "_pending": "_lock",
         "_unrouted": "_lock",
@@ -95,24 +90,11 @@ class FrontendEngine:
         self._lock = threading.Lock()
         self._drain_lock = threading.Lock()  # taken before _lock
         self._sinks = {}  # origin -> callable(rows)
-        self._emitted = {}  # stream_id -> next output index
         self._errors = {}  # stream_id -> malformed/rejected submissions
         self._failed = {}  # stream_id -> last drain failure (str)
-        # A restored router's backlog and past drops predate this engine
-        # (one O(streams) read): the backlog is scored first, so it heads
-        # its streams' segments as origin None, and the past drops must
-        # not be trimmed from this engine's segments.
-        per_stream = router.stats()["per_stream"]
-        self._segments = {  # stream_id -> deque of [origin, count]
-            stream_id: deque([[None, per["lag"]]])
-            for stream_id, per in per_stream.items() if per["lag"]
-        }
-        self._dropped_seen = {  # stream_id -> router drop count reconciled
-            stream_id: per["dropped"] for stream_id, per in per_stream.items()
-        }
-        # router drop total at the last reconcile
-        self._drops_seen_total = sum(self._dropped_seen.values())
-        self._pending = 0  # engine-submitted arrivals not yet drained
+        # Arrivals submitted since the last drain (a restored backlog is
+        # not counted, so it never moves the drain_every boundaries).
+        self._pending = 0
         self._unrouted = 0  # scores with no owning origin
 
     # ------------------------------------------------------------------ #
@@ -134,20 +116,25 @@ class FrontendEngine:
             self._errors[stream_id] = self._errors.get(stream_id, 0) + 1
 
     def submit_rows(self, origin, stream_id, rows):
-        """Enqueue ``rows`` (``(n, dims)`` or ``(n,)``) for ``stream_id``.
+        """Enqueue ``rows`` for ``stream_id``, each tagged with ``origin``.
 
-        Returns the number of arrivals accepted.  Rows are submitted one
-        by one so that a mid-chunk rejection (queue full, dimension
-        mismatch) still attributes the already-accepted prefix to
-        ``origin`` before the exception propagates — scores and segments
-        can never drift apart.
+        ``rows`` is a scalar, a ``(n,)`` sequence (``n`` 1-dim arrivals)
+        or a ``(n, dims)`` list of rows; deeper nesting raises
+        ``ValueError`` before anything is queued.  Returns the number of
+        arrivals accepted.  Rows are submitted one by one, so a mid-chunk
+        rejection (queue full, dimension mismatch) leaves the accepted
+        prefix queued and counted before the exception propagates.
 
-        The engine lock is held from the first enqueue to the segment
-        update, so segments follow queue order even when producers race on
-        one stream, and a concurrent drain (which attributes under the same
-        lock) never sees a queued arrival whose segment is not yet recorded.
+        The engine lock is held from the first enqueue to the ``pending``
+        update, so a concurrent drain (which reads the queue depth under
+        the same lock) never counts an arrival twice or loses it.
         """
         rows = np.asarray(rows, dtype=np.float64)
+        if rows.ndim > 2:
+            raise ValueError(
+                "values must be a scalar, a list of scalars or a list of "
+                "rows, got a %d-D array" % rows.ndim
+            )
         if rows.ndim == 0:
             rows = rows.reshape(1, 1)
         if rows.ndim == 1:
@@ -156,16 +143,10 @@ class FrontendEngine:
         with self._lock:
             try:
                 for row in rows:
-                    self.router.submit(stream_id, row)
+                    self.router.submit(stream_id, row, origin=origin)
                     accepted += 1
             finally:
-                if accepted:
-                    segments = self._segments.setdefault(stream_id, deque())
-                    if segments and segments[-1][0] is origin:
-                        segments[-1][1] += accepted
-                    else:
-                        segments.append([origin, accepted])
-                    self._pending += accepted
+                self._pending += accepted
         return accepted
 
     def submit_line(self, origin, line):
@@ -208,14 +189,14 @@ class FrontendEngine:
         """Drain the router and deliver each origin's scores to its sink.
 
         Returns ``{origin: [(stream_id, index, score), ...]}``; a
-        restored backlog's rows come under origin ``None``.  Shard
-        failures do not raise here — the router has already re-queued the
-        failing streams' arrivals (so their segments stay, aligned for the
-        retry) and the failures are surfaced through :meth:`stats`.
+        restored backlog's rows, and those of arrivals submitted to the
+        router directly, come under origin ``None``.  Shard failures do
+        not raise here — the router has already re-queued the failing
+        streams' arrivals, tags included, for the retry — and are
+        surfaced through :meth:`stats`.
         """
-        # One drain at a time from pop to attribution: scores claim the
-        # front of their streams' segments, so a drain that popped later
-        # must not attribute first.
+        # One drain at a time from pop to attribution, so a drain that
+        # popped earlier never overwrites a later one's failed streams.
         with self._drain_lock:
             try:
                 results = self.router.drain()
@@ -238,6 +219,12 @@ class FrontendEngine:
     def _attribute(self, results, failures):
         """Split a drain's scores by origin; returns ``(deliveries, sinks)``."""
         deliveries = {}
+        for stream_id, scores in results.items():
+            tagged = zip(results.origins[stream_id], scores.tolist())
+            for index, (origin, score) in enumerate(
+                    tagged, results.first_index[stream_id]):
+                deliveries.setdefault(origin, []).append(
+                    (stream_id, index, score))
         with self._lock:
             # Read the queue depth under the engine lock: submit_rows
             # counts _pending under it too, so an arrival queued while this
@@ -245,59 +232,9 @@ class FrontendEngine:
             self._pending = self.router.queue_counters()[0]
             self._failed = {stream_id: str(exc)
                             for stream_id, exc in failures.items()}
-            # Reconcile drop_oldest evictions first: the dropped arrivals
-            # were the oldest queued, i.e. the front of their segments.
-            # Only drops as of the router's pop count here; one landing
-            # after it evicted an arrival queued behind this drain's, and
-            # is reconciled by the next drain.  The per-stream walk runs
-            # only when the drop total moved.
-            dropped_total, counts = self.router.drops_at_pop()
-            if dropped_total != self._drops_seen_total:
-                for stream_id, dropped in counts.items():
-                    delta = dropped - self._dropped_seen.get(stream_id, 0)
-                    if delta:
-                        self._trim_segments_locked(stream_id, delta)
-                    self._dropped_seen[stream_id] = dropped
-                self._drops_seen_total = dropped_total
-            for stream_id, scores in results.items():
-                start = self._emitted.get(stream_id)
-                if start is None:
-                    # First sight of this stream: seed so indices continue
-                    # where a previous process (restored router) stopped.
-                    scored = self.router.stream_stats(stream_id)["scored"]
-                    start = scored - len(scores)
-                segments = self._segments.get(stream_id)
-                offset = 0
-                while segments and offset < len(scores):
-                    origin, count = segments[0]
-                    take = min(count, len(scores) - offset)
-                    if origin is None:
-                        self._unrouted += take
-                    rows = deliveries.setdefault(origin, [])
-                    for k in range(take):
-                        rows.append((stream_id, start + offset + k,
-                                     float(scores[offset + k])))
-                    offset += take
-                    if take == count:
-                        segments.popleft()
-                    else:
-                        segments[0][1] = count - take
-                if offset < len(scores):
-                    # Arrivals submitted to the router directly have no
-                    # segment to claim their scores.
-                    self._unrouted += len(scores) - offset
-                self._emitted[stream_id] = start + len(scores)
+            self._unrouted += len(deliveries.get(None, ()))
             sinks = dict(self._sinks)
         return deliveries, sinks
-
-    def _trim_segments_locked(self, stream_id, count):
-        segments = self._segments.get(stream_id)
-        while segments and count:
-            take = min(segments[0][1], count)
-            segments[0][1] -= take
-            count -= take
-            if not segments[0][1]:
-                segments.popleft()
 
     # ------------------------------------------------------------------ #
     def stats(self):

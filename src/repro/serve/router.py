@@ -8,6 +8,9 @@ queue that decouples *arrival* from *scoring*:
 
 * ``submit`` / ``submit_many`` enqueue arrivals in O(1) and never run a
   forward pass; the queue is the backpressure boundary (see ``on_full``).
+  Each queued arrival carries an optional ``origin`` tag that moves with
+  it through evictions, re-queues and drains, so a frontend routes scores
+  back to their submitters without a copy of the queue of its own.
 * ``drain`` pops the queued burst, ingests each stream's pending points as
   one micro-batch, and refreshes every session-backed shard that shares an
   architecture fingerprint and a slice shape through **one** grouped
@@ -52,7 +55,8 @@ import numpy as np
 from ..core import InferencePrograms, batched_session_scores, drain_group_key
 from ..stream import StreamScorer
 
-__all__ = ["StreamRouter", "QueueFullError", "DrainError", "score_shard_group"]
+__all__ = ["StreamRouter", "QueueFullError", "DrainError", "DrainResult",
+           "score_shard_group"]
 
 _MANIFEST = "router.json"
 _STATE = "state.npz"
@@ -62,14 +66,30 @@ class QueueFullError(RuntimeError):
     """Raised by ``submit`` when the ingestion queue is at capacity."""
 
 
+class DrainResult(dict):
+    """``{stream_id: scores}`` from one drain, plus per scored stream:
+
+    * ``origins[stream_id]`` — the ``origin`` tag each arrival was
+      submitted with, one per score (``None`` for untagged arrivals and
+      for a restored backlog);
+    * ``first_index[stream_id]`` — the stream's ``scored`` count before
+      this drain, i.e. the output index of its first score.
+    """
+
+    def __init__(self, results=(), origins=None, first_index=None):
+        super().__init__(results)
+        self.origins = {} if origins is None else origins
+        self.first_index = {} if first_index is None else first_index
+
+
 class DrainError(RuntimeError):
     """Raised by ``drain`` when one or more shards failed to ingest.
 
     A faulty shard (most commonly an unfitted detector) must not destroy
     the burst: healthy streams are scored normally and their results are
-    attached as :attr:`results`; the failing streams' arrivals are returned
-    to the front of the queue and their exceptions collected in
-    :attr:`failures` (``{stream_id: exception}``).
+    attached as :attr:`results` (a :class:`DrainResult`); the failing
+    streams' arrivals are returned to the front of the queue and their
+    exceptions collected in :attr:`failures` (``{stream_id: exception}``).
     """
 
     def __init__(self, message, results, failures):
@@ -199,7 +219,6 @@ class StreamRouter:
         "_scored": "_lock",
         "_dropped": "_lock",
         "_dropped_total": "_lock",
-        "_pop_drops": "_lock",
         "_dims": "_lock",
         "_drains": "_lock",
         "_shards": "_lock",
@@ -230,13 +249,11 @@ class StreamRouter:
         self.batch_size = max(int(batch_size), 1)
         self._shards = {}
         self._dims = {}  # per-stream row width, fixed by the first arrival
-        self._queue = deque()
+        self._queue = deque()  # (stream_id, row, origin)
         self._submitted = {}
         self._scored = {}
         self._dropped = {}
         self._dropped_total = 0  # sum of _dropped, kept for O(1) reads
-        # (_dropped_total, copy of _dropped) as of the last drain's pop.
-        self._pop_drops = (0, {})
         self._drains = 0
         # _lock guards the queue, counters and shard registry (submit-side
         # state); _drain_lock serialises whole drains.  Lock order: a drain
@@ -332,21 +349,26 @@ class StreamRouter:
             )
         self._dims[stream_id] = width
 
-    def _enqueue_locked(self, stream_id, row):
+    def _enqueue_locked(self, stream_id, row, origin):
         if len(self._queue) >= self.queue_limit:
             if self.on_full == "error":
                 raise QueueFullError(
                     "ingestion queue full (%d queued arrivals); drain() the "
                     "router or raise queue_limit" % len(self._queue)
                 )
-            old_sid, __ = self._queue.popleft()
+            old_sid, __, __ = self._queue.popleft()
             self._dropped[old_sid] += 1
             self._dropped_total += 1
-        self._queue.append((stream_id, row))
+        self._queue.append((stream_id, row, origin))
         self._submitted[stream_id] += 1
 
-    def submit(self, stream_id, point):
+    def submit(self, stream_id, point, origin=None):
         """Enqueue one arrival for ``stream_id``; O(1), never scores.
+
+        ``origin`` is an opaque tag (any object) that rides the queue with
+        the arrival and comes back with its score in
+        :attr:`DrainResult.origins`; it is never saved, so a restored
+        backlog comes back untagged (``None``).
 
         Thread-safe: validation, enqueueing and counter updates happen
         atomically under the router lock, so concurrent producers never
@@ -359,26 +381,33 @@ class StreamRouter:
         with self._lock:
             self._ensure_stream_locked(stream_id)
             self._check_dims_locked(stream_id, row.shape[0])
-            self._enqueue_locked(stream_id, row)
+            self._enqueue_locked(stream_id, row, origin)
         return self
 
-    def submit_many(self, stream_id, points):
+    def submit_many(self, stream_id, points, origin=None):
         """Enqueue every row of a ``(n, dims)`` (or ``(n,)``) chunk.
 
+        Every row is tagged with ``origin`` (see :meth:`submit`).
         Thread-safe, and atomic as a chunk: the rows enqueue contiguously
         even when other producers are submitting concurrently.  A chunk
-        holding any NaN or infinite value is rejected whole (``ValueError``).
+        holding any NaN or infinite value, or of more than two dimensions,
+        is rejected whole (``ValueError``).
         """
         arr = np.asarray(points, dtype=np.float64)
         if arr.ndim == 1:
             arr = arr[:, None]
+        if arr.ndim != 2:
+            raise ValueError(
+                "stream %r: submit_many takes a (n,) or (n, dims) chunk, "
+                "got shape %s" % (stream_id, arr.shape)
+            )
         _require_finite(stream_id, arr)
         with self._lock:
             self._ensure_stream_locked(stream_id)
             if arr.shape[0]:
                 self._check_dims_locked(stream_id, arr.shape[1])
             for row in arr:
-                self._enqueue_locked(stream_id, row)
+                self._enqueue_locked(stream_id, row, origin)
         return self
 
     # ------------------------------------------------------------------ #
@@ -390,7 +419,9 @@ class StreamRouter:
         ingests each stream's pending points as one micro-batch, then
         refreshes all session-backed shards in grouped forward passes.
         Scores arrive in per-stream submission order; streams appear in
-        first-arrival order of this drain.
+        first-arrival order of this drain.  The mapping is a
+        :class:`DrainResult`: its ``origins`` give each score's submission
+        tag and its ``first_index`` each stream's index of its first score.
 
         Concurrency: drains are serialised against each other (a second
         caller blocks until the first finishes), and producers may keep
@@ -404,23 +435,16 @@ class StreamRouter:
         """
         with self._drain_lock:
             with self._lock:
-                # Record the drops as of this pop.  An arrival evicted
-                # later was queued behind this drain's arrivals, so a
-                # frontend attributing this drain's scores must leave it
-                # to the next drain.  The per-stream copy is taken only
-                # when the total moved.
-                if self._pop_drops[0] != self._dropped_total:
-                    self._pop_drops = (self._dropped_total,
-                                       self.dropped_counts())
                 count = len(self._queue)
                 if max_points is not None:
                     count = min(count, max(int(max_points), 0))
                 if not count:
-                    return {}
-                chunks = {}
+                    return DrainResult()
+                chunks, origins = {}, {}
                 for __ in range(count):
-                    stream_id, row = self._queue.popleft()
+                    stream_id, row, origin = self._queue.popleft()
                     chunks.setdefault(stream_id, []).append(row)
+                    origins.setdefault(stream_id, []).append(origin)
                 # Snapshot the participating shards while the lock is
                 # held: scoring runs without it, and must not walk
                 # self._shards while a producer's add_stream mutates it.
@@ -445,17 +469,24 @@ class StreamRouter:
                 )
                 results.update(group_results)
                 failures.update(group_failures)
+            first_index = {}
             with self._lock:
                 for stream_id, (__, rows) in failures.items():
-                    for row in reversed(rows):
-                        self._queue.appendleft((stream_id, row))
+                    for row, origin in zip(reversed(rows),
+                                           reversed(origins[stream_id])):
+                        self._queue.appendleft((stream_id, row, origin))
                 for stream_id, scores in results.items():
+                    first_index[stream_id] = self._scored[stream_id]
                     self._scored[stream_id] += scores.shape[0]
                 self._drains += 1
                 self._absorb_program_counters_locked()
         # Streams appear in first-arrival order of the drain.
-        results = {stream_id: results[stream_id]
-                   for stream_id in chunks if stream_id in results}
+        results = DrainResult(
+            {stream_id: results[stream_id]
+             for stream_id in chunks if stream_id in results},
+            origins={stream_id: origins[stream_id] for stream_id in results},
+            first_index=first_index,
+        )
         if failures:
             raise DrainError(
                 "%d stream(s) failed to ingest (%s); their arrivals were "
@@ -584,7 +615,7 @@ class StreamRouter:
             # JSON floats round-trip exactly in Python, so re-queued
             # arrivals score identically after a restore.
             "queue": [[stream_id, row.tolist()]
-                      for stream_id, row in self._queue],
+                      for stream_id, row, __ in self._queue],
             "drains": self._drains,
             "program_cache": dict(self._prog_counters),
         }
@@ -702,9 +733,10 @@ class StreamRouter:
             if entry.get("dims_seen") is not None:
                 router._dims[entry["id"]] = entry["dims_seen"]
         for stream_id, row in manifest["queue"]:
-            # Straight onto the queue: these arrivals were already counted
-            # by submit() before the save.
-            router._queue.append((stream_id, np.asarray(row, dtype=np.float64)))
+            # Straight onto the queue, untagged: these arrivals were
+            # already counted by submit() before the save.
+            router._queue.append(
+                (stream_id, np.asarray(row, dtype=np.float64), None))
         router._drains = manifest["drains"]
         # Program-cache counters persist as observability totals (the
         # compiled programs themselves are process-local and recompile on
@@ -753,21 +785,10 @@ class StreamRouter:
     def queue_counters(self):
         """``(queue_depth, dropped_total)`` in O(1), read under one lock.
 
-        What a frontend reconciles after every drain, without the
-        per-stream walk of :meth:`stats`."""
+        What a frontend reads after every drain, without the per-stream
+        walk of :meth:`stats`."""
         with self._lock:
             return len(self._queue), self._dropped_total
-
-    def dropped_counts(self):
-        """``{stream_id: dropped}`` for every stream (a copy)."""
-        with self._lock:
-            return dict(self._dropped)
-
-    def drops_at_pop(self):
-        """``(dropped_total, {stream_id: dropped})`` as of the last drain's
-        queue pop, in O(1).  The mapping is shared: do not mutate it."""
-        with self._lock:
-            return self._pop_drops
 
     def stats(self):
         """Router-level stats plus a per-stream breakdown.

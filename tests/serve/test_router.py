@@ -5,7 +5,9 @@ import pytest
 
 from repro.baselines import EMADetector
 from repro.core import RAE, RDAE
+from repro.eval import make_detector
 from repro.serve import DrainError, QueueFullError, StreamRouter
+from repro.serve.router import DrainResult
 from repro.stream import StreamScorer
 
 
@@ -218,6 +220,84 @@ def test_non_finite_arrivals_are_rejected_before_queueing(fitted_rae):
     router.submit_many("s", make_series(2)[:4])
     scores = router.drain()["s"]
     assert scores.shape == (12,) and np.isfinite(scores).all()
+
+
+def test_submit_many_rejects_chunks_of_more_than_two_dims(fitted_rae):
+    """A 3-D chunk once queued (1, 3) rows under dims 1; the next drain
+    then raised from np.stack outside the fault isolation and lost every
+    popped arrival, a healthy stream's included."""
+    router = StreamRouter(fitted_rae, window=32)
+    router.submit_many("good", make_series(3)[:3])
+    with pytest.raises(ValueError, match="shape"):
+        router.submit_many("t", np.zeros((2, 1, 3)))
+    router.submit("t", [1.0])
+    results = router.drain()
+    assert results["good"].shape == (3,) and results["t"].shape == (1,)
+    assert router.stream_stats("good")["lag"] == 0
+
+
+class FlakyDetector:
+    """score = |x| per row; raises while ``broken`` is set."""
+
+    stateless_scoring = True
+
+    def __init__(self):
+        self.broken = False
+
+    def fit(self, X):
+        return self
+
+    def score(self, X):
+        if self.broken:
+            raise RuntimeError("flaky detector")
+        return np.abs(np.asarray(X, dtype=np.float64)).sum(axis=1)
+
+
+def test_origin_tags_ride_evictions_and_requeues(fitted_rae):
+    """Each score comes back with its arrival's origin tag, and
+    first_index is the stream's scored count before the drain.  An
+    eviction drops its arrival's tag; a failed stream's re-queue keeps
+    the tags for the retry."""
+    router = StreamRouter(fitted_rae, window=16, queue_limit=5,
+                          on_full="drop_oldest")
+    flaky = FlakyDetector()
+    router.add_stream("f", flaky)
+    flaky.broken = True
+    router.submit_many("a", make_series(4)[:2], origin="x")
+    router.submit_many("f", [1.0, 2.0], origin="y")
+    router.submit("a", 0.3)  # untagged
+    router.submit("a", 0.4, origin="z")  # evicts x's first arrival
+    with pytest.raises(DrainError) as excinfo:
+        router.drain()
+    results = excinfo.value.results
+    assert isinstance(results, DrainResult)
+    assert list(results) == ["a"]
+    assert results.origins == {"a": ["x", None, "z"]}
+    assert results.first_index == {"a": 0}
+
+    flaky.broken = False
+    router.submit("a", 0.5, origin="x")
+    router.submit("f", 3.0, origin="w")
+    results = router.drain()
+    assert results.origins == {"f": ["y", "y", "w"], "a": ["x"]}
+    assert results.first_index == {"f": 0, "a": 3}
+    assert results["f"].tolist() == [1.0, 2.0, 3.0]
+    assert router.drain().origins == {}
+
+
+def test_restored_arrivals_come_back_untagged(tmp_path):
+    """Saves drop the origin tags; indices continue after a restore."""
+    router = StreamRouter(make_detector("EMA"), window=16)
+    router.submit_many("a", np.arange(5.0), origin="x")
+    router.drain()
+    router.submit_many("a", [5.0, 6.0], origin="x")
+    router.submit("b", 1.0, origin="y")
+    router.save(tmp_path)
+    restored = StreamRouter.restore(tmp_path)
+    restored.submit("a", 7.0, origin="z")
+    results = restored.drain()
+    assert results.origins == {"a": [None, None, "z"], "b": [None]}
+    assert results.first_index == {"a": 5, "b": 0}
 
 
 def test_queue_overflow_error_policy(fitted_rae):

@@ -240,7 +240,7 @@ def test_serve_writes_output_csv(serve_setup, tmp_path, capsys):
 def test_serve_skips_non_finite_lines_like_malformed_ones(serve_setup,
                                                          tmp_path, capsys):
     model_path, feed_path, per_stream = serve_setup
-    lines = open(feed_path).read().splitlines()
+    lines = feed_path.read_text().splitlines()
     noisy_feed = tmp_path / "noisy.csv"
     noisy_feed.write_text("\n".join(
         lines[:30] + ["web,nan", "db,inf"] + lines[30:]) + "\n")
@@ -306,7 +306,7 @@ def test_serve_state_dir_round_trip(serve_setup, tmp_path, capsys):
     """Two serve runs over a split feed with --state-dir must produce the
     same scores as one run over the whole feed (shard recovery end-to-end)."""
     model_path, feed_path, per_stream = serve_setup
-    lines = open(feed_path).read().splitlines()
+    lines = feed_path.read_text().splitlines()
     header, rows = lines[0], lines[1:]
     # Cut on a drain boundary (default --drain-every 32): scores depend on
     # the window content at drain time, so an off-boundary cut would change
