@@ -343,7 +343,7 @@ class AttributionMachine(RuleBasedStateMachine):
     submitted to the router directly, with no origin, go to x.
     """
 
-    WINDOW = 4
+    WINDOW, QUEUE_LIMIT = 4, 6
     ORIGINS = ("a", "b", "c")
     ENGINE_STREAMS = ("s", "t", "p")
 
@@ -359,7 +359,8 @@ class AttributionMachine(RuleBasedStateMachine):
         self.unrouted = 0  # origin-None scores since the engine was built
         self.next_value = 1.0
         router = StreamRouter(AbsDetector(), window=self.WINDOW, min_points=2,
-                              queue_limit=6, on_full="drop_oldest")
+                              queue_limit=self.QUEUE_LIMIT,
+                              on_full="drop_oldest")
         self._attach(router)
 
     def _attach(self, router):
@@ -374,7 +375,7 @@ class AttributionMachine(RuleBasedStateMachine):
     def _enqueue(self, stream_id, value, origin):
         for counts in (self.total, self.scored, self.dropped, self.submitted):
             counts.setdefault(stream_id, 0)
-        if len(self.queue) >= 6:
+        if len(self.queue) >= self.QUEUE_LIMIT:
             self.dropped[self.queue.pop(0)[0]] += 1
         self.queue.append([stream_id, value, origin])
         self.submitted[stream_id] += 1
