@@ -8,8 +8,22 @@ formulation on the channel counts the paper's architectures use.  conv2d
 runs the same per-tap GEMMs on the flattened row-major grid ("flat
 shift"): tap ``(i, j)`` is a contiguous slice at offset ``i*W + j``, so each
 tap is one GEMM over every output row at once, and the wrap-around columns
-are cropped.  Backward passes scatter gradients back with strided in-place
-adds.
+are cropped.  A single-channel conv1d input (C_in == 1) is instead one
+``np.matmul`` of the kernel over a sliding-window view, for every row and
+member at once.  Backward passes scatter gradients back with strided
+in-place adds; tap 0 writes the input gradient directly, so only the tail
+it leaves uncovered is zeroed.
+
+The fit-path kernels avoid extra passes over their arrays, because at the
+batched-ensemble shape (8 members x 2000 points) every pass is a trip to
+memory.  Max pooling keeps a running ``np.maximum`` over the kernel's
+strided offsets instead of argmax + gather, and its backward writes each
+offset's strided slice once; upsampling's backward adds one strided view
+per phase instead of an ``np.add.at`` scatter, in the scatter's order.  The
+state a backward needs (ReLU masks, max-pool offset maps) is kept only
+when the op is built with grad enabled and an input that requires grad,
+so a grad-free serving replay pays one NumPy call per ReLU and per pool
+offset.
 
 Every op builds a replayable ``forward(out=None)`` closure (see
 :mod:`repro.nn.tensor`): eager execution calls it once, the training tape
@@ -29,7 +43,7 @@ import threading
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .tensor import Tensor, _into, _record, as_tensor
+from .tensor import Tensor, _into, _record, as_tensor, is_grad_enabled
 
 __all__ = [
     "pad1d",
@@ -154,10 +168,11 @@ def conv1d(x, weight, bias=None, padding=0):
 
     With a member axis, output slice ``m`` is bit-identical to
     ``conv1d(x[m:m+1], weight[m], bias[m])`` on both kernel paths: the
-    per-tap GEMMs batch over members (``np.matmul`` computes each slice of
-    a stacked product exactly like the 2D product), the stable path's
-    per-position channel dot becomes ``einsum("mfc,mcl->mfl")``, and the
-    single-channel branches run their serial form per slice.  This is how
+    per-tap GEMMs and the single-channel window product batch over members
+    (``np.matmul`` computes each slice of a stacked product exactly like
+    the 2D product), the stable path's per-position channel dot becomes
+    ``einsum("mfc,mcl->mfl")``, and its single-channel broadcast multiply
+    takes the member axis as is.  This is how
     stacked ensemble members train and stacked detectors score (see
     :mod:`repro.nn.batched`).
     """
@@ -216,21 +231,18 @@ def conv1d(x, weight, bias=None, padding=0):
                 out += bias.data[..., None]
             return out
         if c_in == 1:
-            # Degenerate GEMM (inner dimension 1) is an outer product BLAS
-            # handles poorly; the im2col einsum's broadcast path is ~7x
-            # faster for single-channel inputs.  With a member axis it runs
-            # per member slice, so each slice keeps the serial bits.
-            cols = sliding_window_view(x.data, k, axis=2)
-            if not members:
-                result = np.einsum(  # repro: lint-ok[einsum-order] eager-only branch: stable=True takes the fixed-order tap loop above, so this never runs under stable_kernels()
-                    "nclk,fck->nfl", cols, weight.data,
-                    optimize=True, out=out)
+            # Degenerate GEMM (inner dimension 1): instead, one np.matmul of
+            # the (C_out, K) kernel over the (K, L_out) sliding windows of
+            # every row, batched over rows and members alike.  The window
+            # view is not BLAS-shaped, so NumPy's own matmul loop runs it:
+            # ~2.5x faster than the per-member im2col einsum it replaced,
+            # and bit-equal to it for C_out > 1.
+            cols = sliding_window_view(x.data[:, 0], k, axis=-1)
+            w = weight.data[..., 0, :]
+            if out is None:
+                result = np.matmul(w, np.swapaxes(cols, -1, -2))
             else:
-                result = np.empty((n, c_out, l_out)) if out is None else out
-                for i in range(n):
-                    np.einsum(  # repro: lint-ok[einsum-order] eager-only branch, per member slice of the einsum above
-                        "nclk,fck->nfl", cols[i : i + 1], weight.data[i],
-                        optimize=True, out=result[i : i + 1])
+                result = np.matmul(w, np.swapaxes(cols, -1, -2), out=out)
             if bias is not None:
                 result += bias.data[..., None]
             return result
@@ -280,26 +292,28 @@ def conv1d(x, weight, bias=None, padding=0):
             bias._accumulate(grad.sum(axis=2 if members else (0, 2)))
         if x.requires_grad:
             gx = gx_buf[0]
-            if gx is None or gx.shape != x.data.shape:
-                gx = gx_buf[0] = np.zeros_like(x.data)
-            else:
-                gx.fill(0.0)
+            if gx is None:
+                gx = gx_buf[0] = np.empty_like(x.data)
+                gtmp_buf[0] = np.empty((n, c_in, l_out))
             tmp = gtmp_buf[0]
-            if tmp is None or tmp.shape != (n, c_in, l_out):
-                tmp = gtmp_buf[0] = np.empty((n, c_in, l_out))
             # Scatter each kernel tap back onto the input axis:
             # (C_in, C_out) @ (C_out, L_out) added into a strided slice.
             # C_out == 1 (the readout) makes that a K=1 outer product: a
             # broadcast multiply computes the same single products faster.
+            # Tap 0 writes its slice directly and only the tail it leaves
+            # uncovered is zeroed, instead of clearing all of gx first.
+            gx[:, :, l_out:] = 0.0
             for tap in range(k):
+                dest = gx[:, :, :l_out] if tap == 0 else tmp
                 if c_out == 1:
                     np.multiply(weight.data[..., 0, :, tap][..., None], grad,
-                                out=tmp)
+                                out=dest)
                 else:
                     np.matmul(np.swapaxes(weight.data[..., tap], -1, -2),
-                              grad, out=tmp)
-                target = gx[:, :, tap : tap + l_out]
-                np.add(target, tmp, out=target)
+                              grad, out=dest)
+                if tap:
+                    target = gx[:, :, tap : tap + l_out]
+                    np.add(target, tmp, out=target)
             # gx is this closure's scratch: untouched until the op's next
             # backward, so the parent can alias it instead of copying.
             x._accumulate_owned(gx)
@@ -400,25 +414,81 @@ def conv2d(x, weight, bias=None, padding=0):
         if x.requires_grad:
             gx = gx_buf[0]
             if gx is None:
-                gx = gx_buf[0] = np.zeros((n, c_in, h, w))
+                gx = gx_buf[0] = np.empty((n, c_in, h, w))
                 gscratch[0] = np.empty((n, c_in, span))
-            else:
-                gx.fill(0.0)
             tmp = gscratch[0]
             gx_flat = gx.reshape(n, c_in, h * w)
             # One contiguous scatter-add per tap: (C_in, C_out) @ (C_out,
-            # span), or a broadcast multiply when C_out == 1.
-            for i, j, off in offsets:
+            # span), or a broadcast multiply when C_out == 1.  Tap 0 (offset
+            # 0) writes straight into gx; only the tail past its span is
+            # zeroed.
+            gx_flat[:, :, span:] = 0.0
+            for tap, (i, j, off) in enumerate(offsets):
+                dest = gx_flat[:, :, :span] if tap == 0 else tmp
                 if c_out == 1:
                     np.multiply(g_flat, weight.data[0, :, i, j][:, None],
-                                out=tmp)
+                                out=dest)
                 else:
-                    np.matmul(weight.data[:, :, i, j].T, g_flat, out=tmp)
-                target = gx_flat[:, :, off : off + span]
-                np.add(target, tmp, out=target)
+                    np.matmul(weight.data[:, :, i, j].T, g_flat, out=dest)
+                if tap:
+                    target = gx_flat[:, :, off : off + span]
+                    np.add(target, tmp, out=target)
             x._accumulate_owned(gx)
 
     out = Tensor._make(forward(), parents, backward)
+    _record(out, forward)
+    return out
+
+
+def _max_pool(x, views, out_shape):
+    """Max pooling over ``views(array)``: the kernel's strided offsets of an
+    array, one strided view per offset in row-major order.
+
+    The forward keeps a running ``np.maximum`` over the offsets.  When a
+    backward can run (grad enabled and ``x`` requiring grad, decided when
+    the op is built), it also keeps a map of the offset each output came
+    from (uint8 for kernels up to 16x16): a strict ``>`` in offset order
+    sends ties to the first offset, as ``argmax`` does.  The backward
+    writes each offset's strided slice of the input gradient once:
+    ``grad`` where the map names that offset, zero elsewhere.
+    """
+    track = is_grad_enabled() and x.requires_grad
+    count = len(views(x.data))
+    dtype = np.min_scalar_type(count - 1)
+    # [offset map, 0/1 scratch of the same dtype, input gradient]
+    scratch = [np.zeros(out_shape, dtype), np.empty(out_shape, dtype),
+               None] if track else None
+
+    def forward(out=None):
+        taps = views(x.data)
+        if out is None:
+            out = np.empty(out_shape)
+        np.copyto(out, taps[0])
+        for t in range(1, count):
+            if track:
+                # Offsets only grow, so "t where taps[t] wins" is a maximum
+                # of the map with hit * t (a masked copy is ~10x slower).
+                offsets, hit = scratch[0], scratch[1]
+                np.greater(taps[t], out, out=offsets if t == 1 else hit)
+                if t > 1:
+                    np.multiply(hit, t, out=hit)
+                    np.maximum(offsets, hit, out=offsets)
+            np.maximum(out, taps[t], out=out)
+        return out
+
+    def backward(grad):
+        if x.requires_grad:
+            offsets, hit, gx = scratch
+            if gx is None:
+                # Rows and columns no window covers never receive gradient.
+                gx = scratch[2] = np.zeros_like(x.data)
+            for t, target in enumerate(views(gx)):
+                np.equal(offsets, t, out=hit)
+                np.multiply(grad, hit, out=target)
+            # gx is this closure's scratch, as in conv1d: adopt it.
+            x._accumulate_owned(gx)
+
+    out = Tensor._make(forward(), (x,), backward)
     _record(out, forward)
     return out
 
@@ -431,60 +501,42 @@ def max_pool1d(x, kernel=2):
     """
     x = as_tensor(x)
     n, c, length = x.shape
-    l_out = length // kernel
-    saved = [None]
+    end = length // kernel * kernel
 
-    def forward(out=None):
-        trimmed = x.data[:, :, : l_out * kernel].reshape(n, c, l_out, kernel)
-        saved[0] = arg = trimmed.argmax(axis=3)
-        result = np.take_along_axis(trimmed, arg[..., None], axis=3)[..., 0]
-        return _into(out, result)
+    def views(a):
+        return [a[:, :, t:end:kernel] for t in range(kernel)]
 
-    def backward(grad):
-        if x.requires_grad:
-            gx = np.zeros_like(x.data)
-            view = gx[:, :, : l_out * kernel].reshape(n, c, l_out, kernel)
-            np.put_along_axis(view, saved[0][..., None], grad[..., None], axis=3)
-            x._accumulate_owned(gx)
-
-    out = Tensor._make(forward(), (x,), backward)
-    _record(out, forward)
-    return out
+    return _max_pool(x, views, (n, c, length // kernel))
 
 
 def max_pool2d(x, kernel=2):
     """Max pooling on ``(N, C, H, W)`` with stride == kernel on both axes."""
     x = as_tensor(x)
     n, c, h, w = x.shape
-    h_out, w_out = h // kernel, w // kernel
-    saved = [None]
+    rows, cols = h // kernel * kernel, w // kernel * kernel
 
-    def forward(out=None):
-        trimmed = x.data[:, :, : h_out * kernel, : w_out * kernel]
-        windows = trimmed.reshape(n, c, h_out, kernel, w_out, kernel)
-        windows = windows.transpose(0, 1, 2, 4, 3, 5).reshape(
-            n, c, h_out, w_out, -1
-        )
-        saved[0] = arg = windows.argmax(axis=4)
-        result = np.take_along_axis(windows, arg[..., None], axis=4)[..., 0]
-        return _into(out, result)
+    def views(a):
+        return [a[:, :, i:rows:kernel, j:cols:kernel]
+                for i in range(kernel) for j in range(kernel)]
 
-    def backward(grad):
-        if x.requires_grad:
-            arg = saved[0]
-            gwin = np.zeros((n, c, h_out, w_out, kernel * kernel))
-            np.put_along_axis(gwin, arg[..., None], grad[..., None], axis=4)
-            gwin = gwin.reshape(n, c, h_out, w_out, kernel, kernel)
-            gwin = gwin.transpose(0, 1, 2, 4, 3, 5).reshape(
-                n, c, h_out * kernel, w_out * kernel
-            )
-            gx = np.zeros_like(x.data)
-            gx[:, :, : h_out * kernel, : w_out * kernel] = gwin
-            x._accumulate_owned(gx)
+    return _max_pool(x, views, (n, c, h // kernel, w // kernel))
 
-    out = Tensor._make(forward(), (x,), backward)
-    _record(out, forward)
-    return out
+
+def _upsample_phases(factor, n_in, n_out):
+    """``(input slice, output slice)`` per phase of a nearest upsample of
+    ``n_in`` cells to ``n_out`` by ``factor``: phase ``a`` copies input cell
+    ``i`` to output cell ``factor*i + a``.  Phases past ``factor - 1`` exist
+    only for the last input cell, the edge clamp of an ``n_out`` larger than
+    ``factor*n_in``; a truncating ``n_out`` shortens the phases instead."""
+    phases = []
+    for a in range(max(factor, n_out - factor * (n_in - 1))):
+        lo = 0 if a < factor else n_in - 1
+        hi = min(n_in, (n_out - a + factor - 1) // factor)
+        if hi > lo:
+            phases.append((slice(lo, hi),
+                           slice(factor * lo + a, factor * (hi - 1) + a + 1,
+                                 factor)))
+    return phases
 
 
 def upsample1d(x, factor=2, size=None):
@@ -494,35 +546,28 @@ def upsample1d(x, factor=2, size=None):
     that length, which lets decoders invert floor-mode pooling.
     """
     x = as_tensor(x)
-    n, c, l_in = x.shape
+    l_in = x.shape[2]
     target = l_in * factor if size is None else size
     # Gather directly via the index map; an earlier version materialised
     # np.repeat(x, factor) first and immediately overwrote it with this
     # gather — tests/nn/test_functional_perf.py guards against that dead
     # allocation coming back.
     index = np.minimum(np.arange(target) // factor, l_in - 1)
+    phases = _upsample_phases(factor, l_in, target)
 
     def forward(out=None):
         return np.take(x.data, index, axis=2, out=out)
 
     def backward(grad):
         if x.requires_grad:
+            # The np.add.at scatter's sums, one strided add per phase (see
+            # _upsample_phases): each input cell adds its copies' gradients
+            # in output order, the right-edge clamp included.  ~10x faster
+            # than summing factor-sized groups over a reshaped axis.
             gx = np.zeros_like(x.data)
-            # Positions up to ``whole`` map to input cells in full groups of
-            # ``factor``; summing each group replaces the np.add.at scatter.
-            # For factor 2 (the only factor the architectures use) the
-            # two-term group sum is bit-identical to sequential adds into a
-            # zeroed buffer; the remainder loop keeps arbitrary factors and
-            # the right-edge clamp exact.
-            whole = min(target, l_in * factor) // factor * factor
-            if whole and factor == 2:
-                groups = grad[:, :, :whole].reshape(n, c, whole // factor, factor)
-                gx[:, :, : whole // factor] = groups.sum(axis=3)
-            elif whole:
-                np.add.at(gx, (slice(None), slice(None), index[:whole]),
-                          grad[:, :, :whole])
-            for j in range(whole, target):
-                gx[:, :, index[j]] += grad[:, :, j]
+            for cells, gcells in phases:
+                dest = gx[:, :, cells]
+                np.add(dest, grad[:, :, gcells], out=dest)
             x._accumulate_owned(gx)
 
     out = Tensor._make(forward(), (x,), backward)
@@ -537,14 +582,23 @@ def upsample2d(x, factor=2, size=None):
     th, tw = (h * factor, w * factor) if size is None else size
     row = np.minimum(np.arange(th) // factor, h - 1)
     col = np.minimum(np.arange(tw) // factor, w - 1)
+    row_phases = _upsample_phases(factor, h, th)
+    col_phases = _upsample_phases(factor, w, tw)
 
     def forward(out=None):
         return _into(out, x.data[:, :, row[:, None], col[None, :]])
 
     def backward(grad):
         if x.requires_grad:
+            # np.add.at's sums without its per-element dispatch: cell (i, j)
+            # adds the gradient cells it was copied to in row-major order.
+            # Adding one strided view per (row phase, column phase), in
+            # row-major phase order, replays each cell's chain exactly.
             gx = np.zeros_like(x.data)
-            np.add.at(gx, (slice(None), slice(None), row[:, None], col[None, :]), grad)
+            for rows, grows in row_phases:
+                for cols, gcols in col_phases:
+                    target = gx[:, :, rows, cols]
+                    np.add(target, grad[:, :, grows, gcols], out=target)
             x._accumulate_owned(gx)
 
     out = Tensor._make(forward(), (x,), backward)

@@ -432,15 +432,19 @@ class Tensor:
     # elementwise nonlinearities
     # ------------------------------------------------------------------ #
     def relu(self):
-        saved = [None]
+        # The backward's mask is kept only when a backward can run, decided
+        # when the op is built: a grad-free replay is one np.maximum.
+        track = is_grad_enabled() and self.requires_grad
+        mask = np.empty(self.shape, dtype=bool) if track else None
 
         def forward(out=None):
-            saved[0] = mask = self.data > 0
-            return np.multiply(self.data, mask, out=out)
+            if track:
+                np.greater(self.data, 0, out=mask)
+            return np.maximum(self.data, 0.0, out=out)
 
         def backward(grad):
             if self.requires_grad:
-                self._accumulate_product(grad, saved[0])
+                self._accumulate_product(grad, mask)
 
         out = Tensor._make(forward(), (self,), backward)
         _record(out, forward)
