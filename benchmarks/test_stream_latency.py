@@ -4,10 +4,8 @@ The production claim of the streaming subsystem: scoring a new arrival with
 :class:`repro.stream.StreamScorer` costs work bounded by the sliding window,
 while the naive deployment (re-run ``score_new`` on the full history per
 arrival) grows with the stream.  On a 10k-point series the incremental path
-must be at least 5x faster per new point.  A second check makes the same
-comparison for the lagged-matrix substrate: appending a column to a
-:class:`repro.tsops.SlidingLagged` vs re-embedding the whole series.  A
-third bounds the *window* term too: receptive-field-limited tail forwards
+must be at least 5x faster per new point.  A second check bounds the
+*window* term too: receptive-field-limited tail forwards
 make a push O(receptive field) instead of O(window) — at window 2048 a
 conv-RAE push must be at least 5x faster than a full window re-forward,
 with bit-identical scores.
@@ -24,7 +22,6 @@ import numpy as np
 
 from repro.core import RAE, ScoringSession
 from repro.stream import StreamScorer
-from repro.tsops import SlidingLagged, embed_lagged
 
 TINY = os.environ.get("REPRO_BENCH_TINY") == "1"
 LENGTH = 1_500 if TINY else 10_000
@@ -80,34 +77,6 @@ def test_incremental_scoring_beats_full_rescoring():
             "incremental scoring only %.1fx faster than full re-scoring"
             % speedup
         )
-
-
-def test_incremental_hankel_beats_reembedding():
-    series = make_series(1)
-    window = 64
-
-    started = time.perf_counter()
-    sliding = SlidingLagged(window, 1, max_columns=LENGTH - window + 1)
-    sliding.rebuild(series[:-50])
-    appends = []
-    for row in series[-50:]:
-        t0 = time.perf_counter()
-        sliding.append(row)
-        appends.append(time.perf_counter() - t0)
-    del started
-
-    reembeds = []
-    for __ in range(5):
-        t0 = time.perf_counter()
-        full = embed_lagged(series, window)
-        reembeds.append(time.perf_counter() - t0)
-
-    assert np.allclose(sliding.matrix, full)
-    speedup = float(np.median(reembeds)) / max(float(np.median(appends)), 1e-12)
-    print("\nlagged-matrix update: re-embed %.3f ms, append %.4f ms (%.0fx)"
-          % (1e3 * np.median(reembeds), 1e3 * np.median(appends), speedup))
-    if not TINY:
-        assert speedup >= 5.0
 
 
 def test_tail_forward_push_beats_full_reforward():

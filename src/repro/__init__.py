@@ -26,8 +26,7 @@ package also serves continuous traffic:
   arriving points over a ring-buffered sliding window, so per-arrival work
   is bounded by the window size instead of the stream length.  RAE/RDAE are
   served through :class:`repro.core.ScoringSession`, which keeps the training
-  scaler, the autoencoder forward state, and an incrementally-updated Hankel
-  embedding (:class:`repro.tsops.SlidingLagged`) warm between arrivals.
+  scaler, the scaled window and its last forward warm between arrivals.
 * :class:`repro.eval.BatchScoringEngine` amortises model setup across many
   series: fit once (or warm-start from a ``.npz`` saved by
   :func:`repro.core.save_detector`), then micro-batch same-length series

@@ -393,21 +393,32 @@ def _run_pipeline(args):
     return 0
 
 
-def _iter_csv_rows(handle):
-    """Yield float rows from a CSV stream lazily, skipping a header row."""
+def _iter_csv_rows(handle, rejected):
+    """Yield finite float rows of one arity from a CSV stream lazily.
+
+    A non-numeric first line is a header and is skipped.  Any later line
+    that does not parse, holds a NaN/inf, or has another arity than the
+    first row is skipped and counted in ``rejected[0]``: one bad line must
+    neither end a live run nor poison the scoring window.
+    """
     first = True
+    arity = None
     for line in handle:
         line = line.strip()
         if not line:
             continue
-        cells = line.split(",")
-        if first:
-            first = False
-            try:
-                [float(c) for c in cells]
-            except ValueError:
-                continue  # header row
-        yield np.array([float(c) for c in cells])
+        header, first = first, False
+        try:
+            row = np.array([float(c) for c in line.split(",")])
+        except ValueError:
+            if not header:
+                rejected[0] += 1
+            continue
+        if not np.isfinite(row).all() or arity not in (None, row.shape[0]):
+            rejected[0] += 1
+            continue
+        arity = row.shape[0]
+        yield row
 
 
 def _run_stream(args):
@@ -418,8 +429,9 @@ def _run_stream(args):
     from .stream import StreamScorer
 
     source = sys.stdin if str(args.input) == "-" else open(args.input)
+    rejected = [0]
     try:
-        rows = _iter_csv_rows(source)
+        rows = _iter_csv_rows(source, rejected)
         if args.model:
             detector = load_detector(args.model)
             head_rows = []
@@ -472,6 +484,9 @@ def _run_stream(args):
             print("wrote %d streamed scores to %s" % (streamed, args.output))
         print("streamed %d points (window=%d, method=%s)"
               % (streamed, args.window, detector.name), file=sys.stderr)
+        if rejected[0]:
+            print("rejected %d malformed, non-finite or wrong-arity "
+                  "line(s)" % rejected[0], file=sys.stderr)
     finally:
         if source is not sys.stdin:
             source.close()

@@ -3,14 +3,15 @@
 ``score_new`` is stateless: every call re-validates, re-scales, re-embeds and
 runs a full forward pass over whatever it is given.  Serving a stream (or a
 fleet of series) wants the opposite — bind the fitted model once, keep the
-recent window and its lagged embedding hot, and only pay for the arrivals:
+recent window hot, and only pay for the arrivals:
 
 * :class:`ScoringSession` — per-stream state: a ring buffer of scaled
-  observations, an incrementally-maintained lagged matrix for the
-  matrix-view path, and one memoised forward.  For architectures with a
-  bounded receptive field (the conv stacks), a push re-forwards only the
-  window *tail* that the new arrivals can influence — O(receptive field)
-  instead of O(window) — bit-identically to a full re-forward.
+  observations and one memoised forward (the matrix-view path embeds the
+  ring into its lagged matrix when a forward needs it).  For
+  architectures with a bounded receptive field (the conv stacks), a push
+  re-forwards only the window *tail* that the new arrivals can influence
+  — O(receptive field) instead of O(window) — bit-identically to a full
+  re-forward.
 * :func:`batched_score_new` — score many same-length series through one
   forward pass of the fitted autoencoder (the batch axis of the conv stack).
 * :func:`batched_session_scores` — refresh many live sessions' trailing
@@ -56,8 +57,7 @@ from ..nn import batched as nn_batched
 from ..baselines.base import as_series
 from ..rpca import apply_prox as _prox
 from ..stream.ring import RingBuffer
-from ..tsops.hankel import deembed_lagged, hankelize
-from ..tsops.incremental import SlidingLagged
+from ..tsops.hankel import deembed_lagged, embed_lagged, hankelize
 from .autoencoders import matrix_to_tensor, tensor_to_matrix
 from .rae import RAE
 from .rdae import RDAE
@@ -440,10 +440,9 @@ class ScoringSession:
         or lose the cache across save/restore without a score changing.
 
     The session applies the detector's *training* scaler (the stream is
-    assumed to monitor the trained process), keeps scaled observations in a
-    :class:`RingBuffer`, and — for the lagged-matrix path of f2-less RDAE —
-    maintains the Hankel embedding incrementally via :class:`SlidingLagged`
-    instead of re-embedding the window per arrival.
+    assumed to monitor the trained process) and keeps scaled observations
+    in a :class:`RingBuffer`, its only state besides the memo; the
+    lagged-matrix path of f2-less RDAE embeds the ring when it forwards.
 
     For the series paths (RAE, RDAE-with-f2) results agree with
     ``score_new`` on the window content to floating-point tolerance: the
@@ -451,9 +450,8 @@ class ScoringSession:
     (whose conv reduction order differs from the stateless path's by
     ~1 ulp) so that *within* the session, tail and full forwards are
     mutually bit-identical.  The matrix path fixes its lag
-    from the window *capacity* (that is what makes incremental updates
-    possible), so it matches ``score_new`` once the ring holds a full
-    window; while it is still filling, ``score_new``'s
+    from the window *capacity*, so it matches ``score_new`` once the ring
+    holds a full window; while it is still filling, ``score_new``'s
     content-length-based lag clamp can pick a smaller lag and the scores
     differ slightly.
 
@@ -477,14 +475,10 @@ class ScoringSession:
             raise ValueError("window must be >= 2")
         self.dims = detector._scale_mean.shape[1]
         self._ring = RingBuffer(self.window, self.dims)
-        self._lagged = None
         if self.kind == "rdae_matrix":
             self._lag = int(np.clip(
                 detector.window, 2, max(2, self.window // 2 - 1)
             ))
-            self._lagged = SlidingLagged(
-                self._lag, self.dims, max_columns=self.window - self._lag + 1
-            )
         # Receptive-field metadata for the tail-forward path (None when the
         # architecture is unbounded or the caller disabled it).
         self._field = None
@@ -516,7 +510,7 @@ class ScoringSession:
         """Whether pushes use receptive-field-bounded tail forwards."""
         return self._field is not None
 
-    def _ingest(self, points, bulk=False):
+    def _ingest(self, points):
         raw = np.asarray(points, dtype=np.float64)
         if raw.ndim == 1:
             raw = raw[:, None]
@@ -525,23 +519,16 @@ class ScoringSession:
                              % (self.dims, raw.shape))
         scaled = self.detector._apply_scaler(raw)
         self._ring.extend(scaled)
-        if self._lagged is not None:
-            if bulk:
-                # One vectorised re-embedding of the retained window beats
-                # per-row appends when a whole history arrives at once.
-                self._lagged.rebuild(np.asarray(self._ring.view()))
-            else:
-                self._lagged.extend(scaled)
         return raw.shape[0]
 
     def seed(self, history):
         """Ingest history without scoring it (fast session warm-up).
 
-        Bulk-loads the ring and rebuilds the lagged embedding in one
-        vectorised pass; no forward pass runs until the next ``extend`` /
-        ``scores`` call.  Use this to give the first live arrivals context.
+        Bulk-loads the ring; no forward pass runs until the next
+        ``extend`` / ``scores`` call.  Use this to give the first live
+        arrivals context.
         """
-        self._ingest(history, bulk=True)
+        self._ingest(history)
         return self
 
     def load_state(self, window, total):
@@ -549,15 +536,12 @@ class ScoringSession:
 
         ``window`` holds the *scaled* rows a live session's ring retained
         (its ``_ring.view()`` at save time) and ``total`` its arrival
-        count.  The ring is reloaded slot-exact and the lagged embedding
-        rebuilt from the retained rows, so the next read is bit-identical
-        to the session that never stopped (the memo is derived state; the
-        first read recomputes it).  Used by
+        count.  The ring is reloaded slot-exact, so the next read is
+        bit-identical to the session that never stopped (the memo is
+        derived state; the first read recomputes it).  Used by
         :meth:`repro.stream.StreamScorer.load_state_dict` (shard recovery).
         """
         self._ring.load(window, total)
-        if self._lagged is not None:
-            self._lagged.rebuild(np.asarray(self._ring.view()))
         self._memo_total = -1
         self._memo = np.zeros(0)
         return self
@@ -570,14 +554,11 @@ class ScoringSession:
     def rewind(self, mark):
         """Return to the state :meth:`checkpoint` saw, bit for bit.
 
-        Rewinds the ring and rebuilds the lagged embedding from it (the
-        :meth:`load_state` path).  A memo of arrivals past the undo point
-        is dropped; an older one stays valid, because the rewound rows are
+        Rewinds the ring.  A memo of arrivals past the undo point is
+        dropped; an older one stays valid, because the rewound rows are
         bit-identical.
         """
         self._ring.rewind(mark)
-        if self._lagged is not None:
-            self._lagged.rebuild(np.asarray(self._ring.view()))
         if self._memo_total > self._ring.total:
             self._memo_total = -1
             self._memo = np.zeros(0)
@@ -586,11 +567,9 @@ class ScoringSession:
     def ingest(self, points):
         """Ingest a chunk *without* scoring it (the batched-drain hook).
 
-        Unlike :meth:`seed`, the lagged embedding is advanced incrementally
-        (exactly as :meth:`extend` would), so a later :meth:`last_scores`
-        call — possibly refreshed for many sessions at once by
-        :func:`batched_session_scores` — sees the same state as per-chunk
-        scoring.  Returns the number of ingested points.
+        A later :meth:`last_scores` call — possibly refreshed for many
+        sessions at once by :func:`batched_session_scores` — sees the same
+        state as per-chunk scoring.  Returns the number of ingested points.
         """
         return self._ingest(points)
 
@@ -605,8 +584,8 @@ class ScoringSession:
             # The inner AE's max-pool needs at least 2 lagged columns
             # (K=1 would pool to width 0); until then the stream is
             # still warming up and keeps zero evidence.
-            if len(self._lagged) >= 2:
-                lagged = self._lagged.matrix
+            if arr.shape[0] >= self._lag + 1:
+                lagged = embed_lagged(arr, self._lag)
                 recon = det._inner(nn.Tensor(matrix_to_tensor(lagged))).data
                 clean = deembed_lagged(hankelize(tensor_to_matrix(recon)))
                 # The embedding needs B observations before its first

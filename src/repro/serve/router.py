@@ -54,6 +54,7 @@ import numpy as np
 
 from ..core import InferencePrograms, batched_session_scores, drain_group_key
 from ..stream import StreamScorer
+from ..stream.scorer import require_finite
 
 __all__ = ["StreamRouter", "QueueFullError", "DrainError", "DrainResult",
            "score_shard_group"]
@@ -96,16 +97,6 @@ class DrainError(RuntimeError):
         super().__init__(message)
         self.results = results
         self.failures = failures
-
-
-def _require_finite(stream_id, values):
-    # One NaN/inf would poison the stream's window — every score NaN until
-    # it ages out — without any counter noticing, so refuse it up front.
-    if not np.isfinite(values).all():
-        raise ValueError(
-            "stream %r: arrivals must be finite, got %s"
-            % (stream_id, values[~np.isfinite(values)][0])
-        )
 
 
 def score_shard_group(shards, items, batch_size, programs=None):
@@ -377,7 +368,7 @@ class StreamRouter:
         values, before anything is queued.
         """
         row = np.asarray(point, dtype=np.float64).reshape(-1)
-        _require_finite(stream_id, row)
+        require_finite(row, stream_id)
         with self._lock:
             self._ensure_stream_locked(stream_id)
             self._check_dims_locked(stream_id, row.shape[0])
@@ -401,7 +392,7 @@ class StreamRouter:
                 "stream %r: submit_many takes a (n,) or (n, dims) chunk, "
                 "got shape %s" % (stream_id, arr.shape)
             )
-        _require_finite(stream_id, arr)
+        require_finite(arr, stream_id)
         with self._lock:
             self._ensure_stream_locked(stream_id)
             if arr.shape[0]:

@@ -8,8 +8,7 @@ scoring paths cover the whole detector zoo:
 ``score_new``
     Detectors that score unseen data with trained state (RAE, RDAE) are
     served through :class:`repro.core.ScoringSession`, which keeps the
-    scaler, the AE forward state, and — for the lagged-matrix path — an
-    incrementally-updated Hankel embedding warm between arrivals.
+    scaler, the scaled window and its last forward warm between arrivals.
 ``score``
     Detectors whose ``score`` evaluates the passed series against fitted
     state (LOF, OCSVM, isolation forest, the windowed neural baselines).
@@ -29,6 +28,19 @@ from ..baselines.base import detector_capabilities
 from .ring import RingBuffer
 
 __all__ = ["StreamScorer"]
+
+
+def require_finite(values, stream_id=None):
+    """Raise ``ValueError`` unless every value of ``values`` is finite.
+
+    One NaN/inf would poison a stream's window — every score NaN until it
+    ages out — without any counter noticing, so arrivals are refused up
+    front.  ``stream_id`` only labels the message.
+    """
+    if not np.isfinite(values).all():
+        label = "" if stream_id is None else "stream %r: " % (stream_id,)
+        raise ValueError("%sarrivals must be finite, got %s"
+                         % (label, values[~np.isfinite(values)][0]))
 
 
 class StreamScorer:
@@ -130,7 +142,12 @@ class StreamScorer:
         evidence), the same convention as the warmup phase.  This is the
         intended idiom for seeding a scorer with history — keep live
         chunks at or below the window size to score every arrival.
+
+        A chunk holding any NaN or infinite value is rejected whole
+        (``ValueError``) before anything is ingested.
         """
+        points = np.asarray(points, dtype=np.float64)
+        require_finite(points)
         n, needs_scores = self._ingest_chunk(points)
         if not needs_scores:
             return np.zeros(n)
@@ -152,10 +169,9 @@ class StreamScorer:
 
         ``needs_scores`` is False for chunks wholly inside the ``min_points``
         warmup — those are context-only and must score 0.0 without paying a
-        forward pass (the session path ingests incrementally, keeping the
-        lagged embedding warm; the ring path just extends).  Both paths
-        count the threshold on total arrivals, so their semantics are
-        identical.
+        forward pass (the session path ingests into its ring without
+        scoring; the ring path just extends).  Both paths count the
+        threshold on total arrivals, so their semantics are identical.
         """
         arr = np.asarray(points, dtype=np.float64)
         if arr.ndim == 1:
@@ -201,10 +217,11 @@ class StreamScorer:
         """Ingest history as context without scoring it.
 
         Unlike :meth:`push_many`, no scoring pass runs — seeding a long
-        history costs only the buffer fill (and, for the lagged-matrix
-        path, one vectorised re-embedding of the retained window).
+        history costs only the buffer fill.  Non-finite history is
+        rejected as in :meth:`push_many`.
         """
         arr = np.asarray(history, dtype=np.float64)
+        require_finite(arr)
         if arr.ndim == 1:
             arr = arr[:, None]
         self._ensure_state(arr.shape[1])

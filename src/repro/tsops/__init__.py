@@ -1,7 +1,6 @@
 """Time-series operations: Hankel embedding, SSA, RSSA, STL, smoothing."""
 
 from .hankel import deembed_lagged, embed_lagged, hankel_weights, hankelize
-from .incremental import SlidingLagged, append_lagged
 from .rssa import RSSAResult, rssa_decompose
 from .scaling import minmax_scale, robust_scale, standardize
 from .smoothing import ema, loess, moving_average
@@ -14,8 +13,6 @@ __all__ = [
     "deembed_lagged",
     "hankelize",
     "hankel_weights",
-    "append_lagged",
-    "SlidingLagged",
     "SSADecomposition",
     "ssa_decompose",
     "ssa_reconstruct",

@@ -292,7 +292,8 @@ def _memo_machine(detector, window):
 
 
 @pytest.mark.parametrize("name,window", [("conv_rae", 96),
-                                         ("rdae_series", 48)])
+                                         ("rdae_series", 48),
+                                         ("rdae_matrix", 72)])
 def test_memo_matches_full_forward_twin_under_random_operations(
         request, name, window):
     machine = _memo_machine(request.getfixturevalue(name), window)
@@ -364,9 +365,9 @@ def test_perturbation_stays_inside_tail_context(method):
 def test_rdae_matrix_warmup_lag_clamp_divergence(rdae_matrix):
     """Pin the documented warm-up behaviour of the lagged-matrix path.
 
-    The session fixes its Hankel lag from the window *capacity* (that is
-    what makes incremental column updates possible); ``score_new`` clamps
-    from the *content length*.  While the ring is filling the two clamps
+    The session fixes its Hankel lag once, from the window *capacity*, and
+    embeds every forward's window at that lag; ``score_new`` clamps from
+    the *content length*.  While the ring is filling the two clamps
     disagree, so scores legitimately diverge — and must converge exactly
     to the documented agreement once the ring holds a full window.  The
     tail-forward refactor must not silently change either side.

@@ -67,6 +67,28 @@ def test_unfitted_session_detector_raises():
         StreamScorer(RAE(), window=32).push(0.0)
 
 
+@pytest.mark.parametrize("path", ["session", "ring"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_arrivals_are_rejected_without_side_effects(
+        fitted_rae, path, bad):
+    """One NaN/inf would make every later score NaN until it left the
+    window; each public entry point refuses it before ingesting anything,
+    so the scorer goes on exactly as a twin that never saw it."""
+    detector = fitted_rae if path == "session" else EMADetector()
+    history = make_series(30, length=40)
+    scorer = StreamScorer(detector, window=64).seed(history)
+    twin = StreamScorer(detector, window=64).seed(history)
+    poisoned = make_series(31, length=5)
+    poisoned[2, 0] = bad
+    for call, arg in ((scorer.push, bad), (scorer.push_many, poisoned),
+                      (scorer.seed, poisoned)):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(arg)
+        assert scorer.total == twin.total == 40
+    for point in make_series(32, length=4):
+        assert scorer.push(point) == twin.push(point)
+
+
 def test_spike_scores_highest(fitted_rae):
     live = make_series(3, spike=120)
     scorer = StreamScorer(fitted_rae, window=64)

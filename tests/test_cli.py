@@ -174,6 +174,25 @@ def test_stream_from_saved_model(streaming_csv, tmp_path, capsys):
     assert len(lines) == 240  # no training head: every point is streamed
 
 
+def test_stream_skips_and_counts_bad_lines(streaming_csv, tmp_path, capsys):
+    """Malformed, non-finite and wrong-arity lines mid-stream are skipped
+    and counted; the run scores every good line as if they were absent."""
+    lines = streaming_csv.read_text().splitlines()
+    noisy = tmp_path / "noisy.csv"
+    noisy.write_text("\n".join(
+        lines[:150] + ["abc", "nan", "inf", "1.0,2.0", "1.0,"] + lines[150:]
+    ) + "\n")
+    args = ["stream", "--method", "EMA", "--train", "120", "--window", "48"]
+    assert main(args + ["--input", str(streaming_csv)]) == 0
+    clean = capsys.readouterr()
+    assert main(args + ["--input", str(noisy)]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == clean.out
+    assert "rejected 5 malformed, non-finite or wrong-arity line(s)" \
+        in captured.err
+    assert "rejected" not in clean.err
+
+
 # --------------------------- repro serve -------------------------------- #
 
 @pytest.fixture
