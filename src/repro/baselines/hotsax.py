@@ -11,7 +11,6 @@ Scores are nearest-non-self-match distances, like the matrix profile.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from ..tsops import overlap_average, standardize
 from .base import BaseDetector, as_series
@@ -35,6 +34,8 @@ def sax_word(segment, n_pieces=4, alphabet=3):
     std = segment.std()
     z = (segment - segment.mean()) / (std if std > 0 else 1.0)
     approx = paa(z, n_pieces)
+    from scipy import stats as sp_stats  # loads on first use (~0.7 s)
+
     # Breakpoints split the standard normal into equiprobable regions.
     breakpoints = sp_stats.norm.ppf(np.linspace(0, 1, alphabet + 1)[1:-1])
     symbols = np.searchsorted(breakpoints, approx)

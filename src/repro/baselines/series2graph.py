@@ -12,7 +12,6 @@ normality score from edge weights and node degrees — at reduced fidelity.
 from __future__ import annotations
 
 import numpy as np
-import networkx as nx
 
 from ..tsops import overlap_average, standardize
 from .base import BaseDetector, as_series
@@ -57,6 +56,8 @@ class Series2Graph(BaseDetector):
         return [tuple(row) for row in cells]
 
     def score(self, series):
+        import networkx as nx  # loads on first use
+
         arr = standardize(as_series(series))
         length, dims = arr.shape
         m = int(np.clip(self.pattern_size, 4, max(4, length // 3)))

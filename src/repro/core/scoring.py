@@ -56,7 +56,6 @@ from .. import nn
 from ..nn import batched as nn_batched
 from ..baselines.base import as_series
 from ..rpca import apply_prox as _prox
-from ..stream.ring import RingBuffer
 from ..tsops.hankel import deembed_lagged, embed_lagged, hankelize
 from .autoencoders import matrix_to_tensor, tensor_to_matrix
 from .rae import RAE
@@ -71,6 +70,19 @@ __all__ = [
     "drain_group_key",
     "iter_key_batches",
 ]
+
+
+def require_finite(values, stream_id=None):
+    """Raise ``ValueError`` unless every value of ``values`` is finite.
+
+    One NaN/inf would poison a stream's window — every score NaN until it
+    ages out — without any counter noticing, so arrivals are refused up
+    front.  ``stream_id`` only labels the message.
+    """
+    if not np.isfinite(values).all():
+        label = "" if stream_id is None else "stream %r: " % (stream_id,)
+        raise ValueError("%sarrivals must be finite, got %s"
+                         % (label, values[~np.isfinite(values)][0]))
 
 
 def _check_fitted(detector):
@@ -474,6 +486,9 @@ class ScoringSession:
         if self.window < 2:
             raise ValueError("window must be >= 2")
         self.dims = detector._scale_mean.shape[1]
+        # Imported here: repro.stream imports this module at import time.
+        from ..stream.ring import RingBuffer
+
         self._ring = RingBuffer(self.window, self.dims)
         if self.kind == "rdae_matrix":
             self._lag = int(np.clip(
@@ -526,8 +541,11 @@ class ScoringSession:
 
         Bulk-loads the ring; no forward pass runs until the next
         ``extend`` / ``scores`` call.  Use this to give the first live
-        arrivals context.
+        arrivals context.  Non-finite history is rejected (``ValueError``)
+        before the ring changes.
         """
+        history = np.asarray(history, dtype=np.float64)
+        require_finite(history)
         self._ingest(history)
         return self
 
@@ -570,6 +588,8 @@ class ScoringSession:
         A later :meth:`last_scores` call — possibly refreshed for many
         sessions at once by :func:`batched_session_scores` — sees the same
         state as per-chunk scoring.  Returns the number of ingested points.
+        Unlike :meth:`extend`, it does not check for NaN/inf: the router's
+        drain path calls it with rows that ``submit`` already validated.
         """
         return self._ingest(points)
 
@@ -689,7 +709,11 @@ class ScoringSession:
         per-arrival scoring.  Chunk points that overflow the window are
         evicted before scoring and reported as 0.0 (the warmup convention)
         — the seeding idiom; keep live chunks within the window size.
+        A chunk holding any NaN or infinite value is rejected whole
+        (``ValueError``) before anything is ingested.
         """
+        points = np.asarray(points, dtype=np.float64)
+        require_finite(points)
         n = self._ingest(points)
         tail = self.last_scores(n)
         out = np.zeros(n)

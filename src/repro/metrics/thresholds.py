@@ -16,7 +16,6 @@ module provides the standard unsupervised choices:
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 __all__ = ["quantile_threshold", "mad_threshold", "pot_threshold",
            "apply_threshold"]
@@ -63,6 +62,8 @@ def pot_threshold(scores, risk=1e-3, tail_fraction=0.1, trim=0.02):
     excesses = scores[(scores > anchor) & (scores <= cap)] - anchor
     if excesses.size < 10 or np.ptp(excesses) <= 0:
         return float(np.quantile(scores, 1.0 - risk))
+    from scipy import stats as sp_stats  # loads on first use (~0.7 s)
+
     shape, __, scale = sp_stats.genpareto.fit(excesses, floc=0.0)
     scale = max(scale, 1e-12)
     tail_prob = excesses.size / n

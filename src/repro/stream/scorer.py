@@ -25,22 +25,10 @@ import copy
 import numpy as np
 
 from ..baselines.base import detector_capabilities
+from ..core.scoring import require_finite
 from .ring import RingBuffer
 
 __all__ = ["StreamScorer"]
-
-
-def require_finite(values, stream_id=None):
-    """Raise ``ValueError`` unless every value of ``values`` is finite.
-
-    One NaN/inf would poison a stream's window — every score NaN until it
-    ages out — without any counter noticing, so arrivals are refused up
-    front.  ``stream_id`` only labels the message.
-    """
-    if not np.isfinite(values).all():
-        label = "" if stream_id is None else "stream %r: " % (stream_id,)
-        raise ValueError("%sarrivals must be finite, got %s"
-                         % (label, values[~np.isfinite(values)][0]))
 
 
 class StreamScorer:

@@ -195,6 +195,31 @@ def test_state_dict_round_trip_resumes_bit_identically(conv_rae):
         assert restored.push(point) == live.push(point)
 
 
+@pytest.mark.parametrize("name", ["conv_rae", "rdae_matrix"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_session_rejects_non_finite_rows_without_side_effects(request, name,
+                                                              bad):
+    """Used directly, a session refuses a NaN/inf row in ``extend``,
+    ``push`` and ``seed`` before its ring changes; otherwise every later
+    score would read NaN until the row left the window."""
+    detector = request.getfixturevalue(name)
+    history = make_series(12, length=40)
+    session = ScoringSession(detector, window=64).seed(history)
+    twin = ScoringSession(detector, window=64).seed(history)
+    poisoned = make_series(13, length=5)
+    poisoned[2, 0] = bad
+    for call, arg in ((session.extend, [[bad]]), (session.push, [bad]),
+                      (session.extend, poisoned), (session.seed, poisoned)):
+        with pytest.raises(ValueError, match="must be finite"):
+            call(arg)
+        assert session.total == twin.total == 40
+        assert np.array_equal(session._ring.view(), twin._ring.view())
+    follow = make_series(14, length=4)
+    scores = session.extend(follow)
+    assert np.isfinite(scores).all()
+    assert np.array_equal(scores, twin.extend(follow))
+
+
 # ------------------- the one memo, under random operations ------------- #
 
 def _memo_machine(detector, window):
