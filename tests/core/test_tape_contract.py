@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 
 from repro.core import RAE, RobustEnsemble
+from repro.core.ensemble import STACK_ACTIVATION_BYTES, _stacks
 from repro.core.variants import make_ablation
 from repro.eval import make_detector
+from repro.nn import batched as nnb
 from repro.nn import tape as nntape
 
 
@@ -251,6 +253,45 @@ def test_ensemble_batched_jitter_groups_and_singletons():
     for reason in batched.compile_fallback_:
         assert "peer" in reason
     assert_identical_ensembles(serial, batched, series)
+
+
+def test_ensemble_batched_splits_groups_by_activation_budget(monkeypatch):
+    """Past the activation budget an identical-spec group fits as several
+    near-equal stacks of >= 2 members, still bit-identical to the serial
+    member fits and with no member falling back."""
+    series = small_series(length=2100)
+    kwargs = dict(base="rae", n_members=8, jitter=False, kernels=8,
+                  max_iterations=2, seed=4)
+    assert STACK_ACTIVATION_BYTES // (8 * 2100 * 8) < 8
+    sizes = []
+    stack_modules = nnb.stack_modules
+
+    def counting(models):
+        sizes.append(len(models))
+        return stack_modules(models)
+
+    serial = fit_ensemble(series, **kwargs)
+    monkeypatch.setattr(nnb, "stack_modules", counting)
+    batched = fit_ensemble(series, compile="batched", **kwargs)
+    assert batched.compile_fallback_ == []
+    assert len(sizes) >= 2 and sum(sizes) == 8  # the split really happened
+    assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+    assert_identical_ensembles(serial, batched, series)
+
+
+@pytest.mark.parametrize("length", [200, 1000, 2100, 3000, 5000, 10**6])
+@pytest.mark.parametrize("n", [2, 3, 5, 8, 13])
+def test_ensemble_stacks_are_ordered_near_equal_and_never_single(n, length):
+    group = [RAE(kernels=8, seed=i) for i in range(n)]
+    stacks = _stacks(group, length)
+    sizes = [len(stack) for stack in stacks]
+    assert [m for stack in stacks for m in stack] == group
+    assert min(sizes) >= 2 and max(sizes) - min(sizes) <= 1
+    cap = STACK_ACTIVATION_BYTES // (8 * length * 8)
+    if cap >= 3:  # the fewest stacks that each stay under the budget
+        assert max(sizes) <= cap and len(stacks) == -(-n // cap)
+    else:  # no stack of 2 fits, or an odd group keeps one stack of 3
+        assert set(sizes) <= {2, 3}
 
 
 def test_ensemble_batched_rdae_falls_back_serial():
